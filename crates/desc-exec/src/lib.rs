@@ -9,15 +9,27 @@
 //!
 //! # Task model
 //!
-//! A call to [`run`] (or [`run_mut`]) opens a **region**: `total`
-//! independent tasks identified by index `0..total`, a concurrency cap,
-//! and one result slot per index. The calling thread always
-//! participates — it claims and executes tasks alongside the workers —
-//! and blocks until every task in *its own* region has completed, then
-//! collects the slots in index order. With an empty pool (1-CPU
-//! machine, or before [`configure`] raises the target) a region
-//! degrades to a plain serial loop on the caller with no
-//! synchronisation at all.
+//! A call to [`run_labeled`] (or [`run_mut_labeled`]) opens a
+//! **region**: `total` independent tasks identified by index
+//! `0..total`, a concurrency cap, and one result slot (or one `&mut`
+//! state) per index. Both entry points hand their tasks to one private
+//! region driver and differ only in where task `i` puts its result.
+//! The calling thread always participates — it claims and executes
+//! tasks alongside the workers — and blocks until every task in *its
+//! own* region has completed, then collects the slots in index order.
+//! With an empty pool (1-CPU machine, or before [`configure`] raises
+//! the target) a region degrades to a plain serial loop on the caller
+//! with no synchronisation at all.
+//!
+//! # Task context
+//!
+//! A task inherits three things from the thread that submitted its
+//! region: the metric capture sink (`desc_telemetry::install_capture`),
+//! the cancel token ([`install_cancel`]) and the fair-share group
+//! ([`install_group`]). The region captures all three once, as one
+//! task context, when it opens, and installs that context on every
+//! thread that drains it, so a nested region submitted from a pool
+//! worker inherits the same sink, deadline and group as its parent.
 //!
 //! # Determinism is structural
 //!
@@ -46,8 +58,8 @@
 //!
 //! # Nested submission cannot deadlock
 //!
-//! A task may itself call [`run`] (a `run_matrix` cell running a
-//! sharded `SystemSim`). The nested caller helps execute its own
+//! A task may itself call [`run_labeled`] (a `run_matrix` cell running
+//! a sharded `SystemSim`). The nested caller helps execute its own
 //! region first and only then waits, so it can only block on tasks
 //! *claimed by other threads* — and a claimant never waits for work it
 //! has not finished: either it is executing a leaf task (which runs to
@@ -74,7 +86,7 @@
 //!
 //! ```
 //! desc_exec::configure(2);
-//! let squares = desc_exec::run(8, 2, |i| i * i);
+//! let squares = desc_exec::run_labeled("squares", 8, 2, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -195,6 +207,12 @@ struct InTaskGuard {
     was: bool,
 }
 
+impl InTaskGuard {
+    fn enter() -> Self {
+        InTaskGuard { was: IN_TASK.with(|f| f.replace(true)) }
+    }
+}
+
 impl Drop for InTaskGuard {
     fn drop(&mut self) {
         IN_TASK.with(|f| f.set(self.was));
@@ -288,37 +306,14 @@ impl CancelToken {
     }
 }
 
-thread_local! {
-    static CANCEL: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
-}
-
-/// Restores the previously installed [`CancelToken`] (if any) when
-/// dropped.
-#[derive(Debug)]
-pub struct CancelGuard {
-    prev: Option<CancelToken>,
-}
-
-impl Drop for CancelGuard {
-    fn drop(&mut self) {
-        CANCEL.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
 /// Installs `token` (or clears the installation with `None`) on the
 /// current thread until the returned guard drops. Regions submitted
 /// while a token is installed snapshot it and honour it on every
 /// draining thread, so a deadline covers nested fork-join work no
 /// matter which pool thread runs it.
 #[must_use]
-pub fn install_cancel(token: Option<CancelToken>) -> CancelGuard {
-    CancelGuard { prev: CANCEL.with(|c| c.replace(token)) }
-}
-
-/// The cancel token installed on the current thread, if any.
-#[must_use]
-pub fn current_cancel() -> Option<CancelToken> {
-    CANCEL.with(|c| c.borrow().clone())
+pub fn install_cancel(token: Option<CancelToken>) -> ContextGuard {
+    ContextGuard::install(Some(token), None, None)
 }
 
 /// Unwinds with [`Cancelled`] if the current thread's installed token
@@ -326,8 +321,8 @@ pub fn current_cancel() -> Option<CancelToken> {
 /// items (one thread-local borrow; a clock read only while a deadline
 /// token is installed and not yet latched).
 pub fn check_cancelled() {
-    CANCEL.with(|c| {
-        if let Some(token) = c.borrow().as_ref() {
+    INSTALLED.with(|c| {
+        if let Some(token) = &c.borrow().0 {
             token.check();
         }
     });
@@ -436,22 +431,6 @@ fn default_group() -> Group {
     DEFAULT.get_or_init(|| Group::new("main", 1)).clone()
 }
 
-thread_local! {
-    static GROUP: RefCell<Option<Group>> = const { RefCell::new(None) };
-}
-
-/// Restores the previously installed [`Group`] (if any) when dropped.
-#[derive(Debug)]
-pub struct GroupGuard {
-    prev: Option<Group>,
-}
-
-impl Drop for GroupGuard {
-    fn drop(&mut self) {
-        GROUP.with(|g| *g.borrow_mut() = self.prev.take());
-    }
-}
-
 /// Installs `group` (or clears the installation with `None`) on the
 /// current thread until the returned guard drops. Regions submitted
 /// while a group is installed are tagged with it — and, like the
@@ -459,14 +438,99 @@ impl Drop for GroupGuard {
 /// thread that drains the region, so nested regions inherit it no
 /// matter which pool thread submits them.
 #[must_use]
-pub fn install_group(group: Option<Group>) -> GroupGuard {
-    GroupGuard { prev: GROUP.with(|g| g.replace(group)) }
+pub fn install_group(group: Option<Group>) -> ContextGuard {
+    ContextGuard::install(None, Some(group), None)
 }
 
-/// The group installed on the current thread, if any.
-#[must_use]
-pub fn current_group() -> Option<Group> {
-    GROUP.with(|g| g.borrow().clone())
+thread_local! {
+    /// The cancel token and group installed on this thread. The
+    /// capture sink is the third part of a [`TaskCtx`] but lives in
+    /// `desc-telemetry`'s own slot, where metric updates read it.
+    static INSTALLED: RefCell<(Option<CancelToken>, Option<Group>)> =
+        const { RefCell::new((None, None)) };
+}
+
+/// Everything a task inherits from the thread that submitted its
+/// region. Captured once when the region opens and installed for every
+/// drain of it, so a cached cell's nested partition work is captured,
+/// cancelled and charged like its parent no matter which pool thread
+/// runs it. The inline path runs on the submitting thread itself,
+/// where the same context is already installed.
+struct TaskCtx {
+    /// Metric capture sink (see `desc_telemetry::capture`).
+    sink: Option<Arc<desc_telemetry::CaptureSink>>,
+    /// Cancel token ([`install_cancel`]); checked once per task claim.
+    cancel: Option<CancelToken>,
+    /// Fair-share group the region's service is charged to: the
+    /// installed one ([`install_group`]) or the process default.
+    group: Group,
+}
+
+impl TaskCtx {
+    fn capture() -> Self {
+        let (cancel, group) = INSTALLED.with(|c| c.borrow().clone());
+        TaskCtx {
+            sink: desc_telemetry::capture_sink(),
+            cancel,
+            group: group.unwrap_or_else(default_group),
+        }
+    }
+
+    /// Installs the context on the current thread until the guard
+    /// drops. On the submitting thread this re-installs what is
+    /// already there, with the default group in place of none.
+    fn install(&self) -> ContextGuard {
+        ContextGuard::install(
+            Some(self.cancel.clone()),
+            Some(Some(self.group.clone())),
+            self.sink.as_ref().map(|s| desc_telemetry::install_capture(Some(Arc::clone(s)))),
+        )
+    }
+}
+
+/// Restores, when dropped, whatever the call that returned it
+/// ([`install_cancel`], [`install_group`]) replaced on the current
+/// thread.
+#[derive(Debug)]
+pub struct ContextGuard {
+    /// `Some(prev)` for each installed value this guard replaced.
+    cancel: Option<Option<CancelToken>>,
+    group: Option<Option<Group>>,
+    _capture: Option<desc_telemetry::CaptureGuard>,
+}
+
+impl ContextGuard {
+    fn install(
+        cancel: Option<Option<CancelToken>>,
+        group: Option<Option<Group>>,
+        capture: Option<desc_telemetry::CaptureGuard>,
+    ) -> Self {
+        let mut guard = ContextGuard { cancel, group, _capture: capture };
+        guard.swap();
+        guard
+    }
+
+    /// Swaps each `Some` slot with the thread's installed value. A
+    /// second swap undoes the first, which is how a guard restores only
+    /// what it replaced: a cancel guard and a group guard may drop in
+    /// either order.
+    fn swap(&mut self) {
+        INSTALLED.with(|c| {
+            let mut installed = c.borrow_mut();
+            if let Some(token) = &mut self.cancel {
+                std::mem::swap(&mut installed.0, token);
+            }
+            if let Some(group) = &mut self.group {
+                std::mem::swap(&mut installed.1, group);
+            }
+        });
+    }
+}
+
+impl Drop for ContextGuard {
+    fn drop(&mut self) {
+        self.swap();
+    }
 }
 
 /// One fork-join scope: `total` indexed tasks behind a type-erased
@@ -474,44 +538,23 @@ pub fn current_group() -> Option<Group> {
 ///
 /// # Safety invariant
 ///
-/// `ctx` points at a stack frame of the submitting caller. The caller
+/// `env` points at a stack frame of the submitting caller. The caller
 /// blocks in [`Region::wait_done`] until `done == total` (completions
 /// are `Release`, the caller's read is `Acquire`), and every execution
 /// path — success, task panic, cancellation after a sibling's panic —
 /// increments `done` exactly once per task index. Therefore no thread
-/// can touch `ctx` after `wait_done` returns, and the erased lifetime
+/// can touch `env` after `wait_done` returns, and the erased lifetime
 /// never outlives the borrow it erased.
 struct Region {
     task: unsafe fn(*const (), usize),
-    ctx: *const (),
+    env: *const (),
     total: usize,
     cap: usize,
-    /// Trace-timebase microsecond at which the region was submitted;
-    /// per-task queue wait is measured from here. Only meaningful when
-    /// `agg` is set.
-    submitted_us: u64,
-    /// Timing sink, captured at submit time iff telemetry was enabled
-    /// — the per-task clock reads in `execute_until_empty` key off it.
-    agg: Option<Arc<RegionAgg>>,
-    /// Metric capture sink installed on the submitting thread, if any
-    /// (see `desc_telemetry::capture`). Snapshotted at submit time and
-    /// re-installed on every thread that drains the region, so a
-    /// cached cell's nested partition work is captured no matter which
-    /// pool thread runs it. The inline (0-worker / already-in-task)
-    /// paths run on the submitting thread itself, where the sink is
-    /// already installed.
-    sink: Option<Arc<desc_telemetry::CaptureSink>>,
-    /// Cancel token installed on the submitting thread, if any (see
-    /// [`install_cancel`]); snapshotted at submit time like `sink` and
-    /// re-installed on every draining thread, so nested regions
-    /// submitted from pool workers inherit the same deadline. Checked
-    /// once per task claim.
-    cancel: Option<CancelToken>,
-    /// Fair-share group this region's service is charged to (see
-    /// [`Group`]); the thread-installed group at submit time, or the
-    /// process default. Mirrored onto draining threads like `sink` and
-    /// `cancel`, so nested regions inherit it.
-    group: Group,
+    /// Per-task timing, set at submit time iff telemetry was enabled;
+    /// queue wait is measured from the submit instant.
+    timer: Option<TaskTimer>,
+    /// What every task inherits from the submitting thread.
+    ctx: TaskCtx,
     /// Next unclaimed task index; CAS-claimed so it never exceeds
     /// `total` (which keeps the cancellation arithmetic on the panic
     /// path exact).
@@ -528,7 +571,7 @@ struct Region {
     done_cv: Condvar,
 }
 
-// SAFETY: `ctx` is only dereferenced by `task` while the submitting
+// SAFETY: `env` is only dereferenced by `task` while the submitting
 // caller provably keeps the pointee alive (see the struct docs); all
 // other fields are Sync primitives.
 unsafe impl Send for Region {}
@@ -537,26 +580,18 @@ unsafe impl Sync for Region {}
 impl Region {
     fn new(
         task: unsafe fn(*const (), usize),
-        ctx: *const (),
+        env: *const (),
         total: usize,
         cap: usize,
         label: &'static str,
     ) -> Self {
-        let (submitted_us, agg) = if desc_telemetry::enabled() {
-            (desc_telemetry::now_us(), Some(region_agg(label)))
-        } else {
-            (0, None)
-        };
         Region {
             task,
-            ctx,
+            env,
             total,
             cap,
-            submitted_us,
-            agg,
-            sink: desc_telemetry::capture_sink(),
-            cancel: current_cancel(),
-            group: current_group().unwrap_or_else(default_group),
+            timer: TaskTimer::start(label),
+            ctx: TaskCtx::capture(),
             next: AtomicUsize::new(0),
             // The submitting caller counts as already active.
             active: AtomicUsize::new(1),
@@ -606,7 +641,7 @@ impl Region {
                     // completion), so a group's virtual time reflects
                     // work already handed to it when workers pick
                     // their next region.
-                    self.group.charge();
+                    self.ctx.group.charge();
                     return Some(cur);
                 }
                 Err(seen) => cur = seen,
@@ -627,48 +662,25 @@ impl Region {
     /// — the weighted-round-robin burst unit for pool workers, which
     /// re-pick the fairest claimable region after every task.
     fn execute(&self, limit: usize) -> u64 {
-        // Mirror the submitter's metric capture (if any) for the whole
-        // drain; the guard restores this thread's previous sink. On
-        // the submitting thread itself this re-installs the same sink,
-        // which is a no-op difference.
-        let _capture = self
-            .sink
-            .as_ref()
-            .map(|s| desc_telemetry::install_capture(Some(Arc::clone(s))));
-        // Likewise mirror the submitter's cancel token so tasks (and
-        // regions they nest) observe the same deadline on every
-        // draining thread.
-        let _cancel = self.cancel.as_ref().map(|t| install_cancel(Some(t.clone())));
-        // And the fair-share group, so nested regions are charged to
-        // the same client.
-        let _group = install_group(Some(self.group.clone()));
+        let _ctx = self.ctx.install();
         let mut ran = 0u64;
         while (ran as usize) < limit {
             let Some(i) = self.claim() else { break };
             ran += 1;
-            let start_us = self.agg.as_ref().map(|_| desc_telemetry::now_us());
-            // SAFETY: `i` was claimed exactly once and `ctx` is alive
-            // (struct invariant).
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                // Cancellation is task-granular: a claimed task either
-                // runs to completion or never starts. The panic rides
-                // the existing cancel-remaining accounting below.
-                if let Some(token) = &self.cancel {
-                    if token.is_cancelled() {
-                        panic_any(Cancelled);
+            let outcome = TaskTimer::time(self.timer.as_ref(), || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    // Cancellation is task-granular: a claimed task
+                    // either runs to completion or never starts. The
+                    // panic rides the cancel-remaining accounting below.
+                    if let Some(token) = &self.ctx.cancel {
+                        token.check();
                     }
-                }
-                let _in_task = InTaskGuard { was: IN_TASK.with(|f| f.replace(true)) };
-                unsafe { (self.task)(self.ctx, i) }
-            }));
-            if let (Some(agg), Some(start_us)) = (&self.agg, start_us) {
-                let run_us = desc_telemetry::now_us().saturating_sub(start_us);
-                agg.record(start_us.saturating_sub(self.submitted_us), run_us);
-                WORKER_CELL.with(|cell| {
-                    cell.busy_us.fetch_add(run_us, Ordering::Relaxed);
-                    cell.tasks.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+                    let _in_task = InTaskGuard::enter();
+                    // SAFETY: `i` was claimed exactly once and `env` is
+                    // alive (struct invariant).
+                    unsafe { (self.task)(self.env, i) }
+                }))
+            });
             match outcome {
                 Ok(()) => self.complete(1),
                 Err(payload) => {
@@ -785,7 +797,7 @@ impl Pool {
                     // drain FIFO exactly as before.
                     let mut best: Option<&Arc<Region>> = None;
                     for r in open.iter().filter(|r| r.claimable()) {
-                        if best.is_none_or(|b| r.group.vtime() < b.group.vtime()) {
+                        if best.is_none_or(|b| r.ctx.group.vtime() < b.ctx.group.vtime()) {
                             best = Some(r);
                         }
                     }
@@ -824,11 +836,11 @@ impl Pool {
         // of the service it never used.
         let floor = open
             .iter()
-            .filter(|r| !r.group.same(&region.group))
-            .map(|r| r.group.vtime())
+            .filter(|r| !r.ctx.group.same(&region.ctx.group))
+            .map(|r| r.ctx.group.vtime())
             .min();
         if let Some(floor) = floor {
-            region.group.inner.vtime.fetch_max(floor, Ordering::Relaxed);
+            region.ctx.group.inner.vtime.fetch_max(floor, Ordering::Relaxed);
         }
         open.push(region);
         drop(open);
@@ -939,24 +951,30 @@ pub fn utilization() -> desc_telemetry::PoolUtilization {
     }
 }
 
-/// Per-task timing for the serial (inline) fast path, so a 1-job run
+/// Per-task timing for one region, pooled or inline (so a 1-job run
 /// still produces a populated `pool_utilization` stanza and honest
-/// busy-time lanes. Constructed only when telemetry is enabled.
+/// busy-time lanes). Constructed only when telemetry is enabled.
 struct TaskTimer {
     agg: Arc<RegionAgg>,
+    /// Trace-timebase microsecond the region opened at; per-task queue
+    /// wait is measured from here.
     opened_us: u64,
 }
 
 impl TaskTimer {
-    fn new(label: &'static str) -> Self {
-        TaskTimer { agg: region_agg(label), opened_us: desc_telemetry::now_us() }
+    fn start(label: &'static str) -> Option<Self> {
+        desc_telemetry::enabled()
+            .then(|| TaskTimer { agg: region_agg(label), opened_us: desc_telemetry::now_us() })
     }
 
-    fn time<R>(&self, g: impl FnOnce() -> R) -> R {
+    /// Runs `g`, recording its queue wait and run time when `timer` is
+    /// set; without one this reads no clock.
+    fn time<R>(timer: Option<&Self>, g: impl FnOnce() -> R) -> R {
+        let Some(timer) = timer else { return g() };
         let start_us = desc_telemetry::now_us();
         let result = g();
         let run_us = desc_telemetry::now_us().saturating_sub(start_us);
-        self.agg.record(start_us.saturating_sub(self.opened_us), run_us);
+        timer.agg.record(start_us.saturating_sub(timer.opened_us), run_us);
         WORKER_CELL.with(|cell| {
             cell.busy_us.fetch_add(run_us, Ordering::Relaxed);
             cell.tasks.fetch_add(1, Ordering::Relaxed);
@@ -965,18 +983,65 @@ impl TaskTimer {
     }
 }
 
-struct RunCtx<'a, T, F> {
-    f: &'a F,
-    slots: &'a [Slot<T>],
-}
-
-/// [`run_labeled`] under the generic region label `"region"`.
-pub fn run<T, F>(total: usize, cap: usize, f: F) -> Vec<T>
+/// The region sequence behind [`run_labeled`] and [`run_mut_labeled`]:
+/// runs `task(i)` exactly once for every `i` in `0..total` with at
+/// most `cap` tasks in flight, and returns only after every task has
+/// finished. A cap of 1 or an empty pool runs a serial loop on the
+/// caller; otherwise the region is submitted to the pool, the caller
+/// helps drain it, and the first task panic is re-raised here.
+fn drive<F>(label: &'static str, total: usize, cap: usize, task: F)
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize) + Sync,
 {
-    run_labeled("region", total, cap, f)
+    if total == 0 {
+        return;
+    }
+    let pool = Pool::global();
+    if IN_TASK.with(Cell::get) {
+        pool.nested.fetch_add(1, Ordering::Relaxed);
+    }
+    let _region_span = desc_telemetry::span("region", label);
+    let cap = cap.max(1).min(total);
+    if cap > 1 {
+        pool.ensure_workers();
+    }
+    if cap == 1 || pool.spawned.load(Ordering::Relaxed) == 0 {
+        pool.inline.fetch_add(total as u64, Ordering::Relaxed);
+        pool.executed.fetch_add(total as u64, Ordering::Relaxed);
+        let _in_task = InTaskGuard::enter();
+        let timer = TaskTimer::start(label);
+        for i in 0..total {
+            check_cancelled();
+            TaskTimer::time(timer.as_ref(), || task(i));
+        }
+        return;
+    }
+
+    /// # Safety
+    ///
+    /// `env` must point at a live `F`.
+    unsafe fn call<F: Fn(usize) + Sync>(env: *const (), i: usize) {
+        // SAFETY: `env` is the `task` on the submitting caller's stack,
+        // alive until its `wait_done` returns (Region invariant).
+        unsafe { (*env.cast::<F>())(i) }
+    }
+
+    let region =
+        Arc::new(Region::new(call::<F>, std::ptr::from_ref(&task).cast(), total, cap, label));
+    pool.submit(Arc::clone(&region));
+    let mine = region.execute_until_empty();
+    region.exit();
+    // Our departure frees cap headroom; wake scanners.
+    pool.work.notify_all();
+    region.wait_done();
+    pool.retire(&region);
+    pool.regions.fetch_add(1, Ordering::Relaxed);
+    pool.executed.fetch_add(total as u64, Ordering::Relaxed);
+    pool.helped.fetch_add(mine, Ordering::Relaxed);
+    pool.stolen.fetch_add(total as u64 - mine, Ordering::Relaxed);
+    if let Some(payload) = region.take_panic() {
+        resume_unwind(payload);
+    }
 }
 
 /// Runs `f(0)..f(total-1)` with at most `cap` tasks in flight at once
@@ -994,105 +1059,19 @@ where
 /// first panic is re-raised on the calling thread after every in-flight
 /// task has finished.
 ///
-/// May be called from inside another `run` task (nested fork-join);
-/// see the crate docs for why this cannot deadlock.
+/// May be called from inside another region's task (nested
+/// fork-join); see the crate docs for why this cannot deadlock.
 pub fn run_labeled<T, F>(label: &'static str, total: usize, cap: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if total == 0 {
-        return Vec::new();
-    }
-    let pool = Pool::global();
-    if IN_TASK.with(Cell::get) {
-        pool.nested.fetch_add(1, Ordering::Relaxed);
-    }
-    let _region_span = desc_telemetry::span("region", label);
-    let cap = cap.max(1).min(total);
-    if cap > 1 {
-        pool.ensure_workers();
-    }
-    if cap == 1 || pool.spawned.load(Ordering::Relaxed) == 0 {
-        pool.inline.fetch_add(total as u64, Ordering::Relaxed);
-        pool.executed.fetch_add(total as u64, Ordering::Relaxed);
-        let _in_task = InTaskGuard { was: IN_TASK.with(|fl| fl.replace(true)) };
-        let cancel = current_cancel();
-        let check = |i: usize| {
-            if let Some(token) = &cancel {
-                if token.is_cancelled() {
-                    panic_any(Cancelled);
-                }
-            }
-            i
-        };
-        if desc_telemetry::enabled() {
-            let timer = TaskTimer::new(label);
-            return (0..total).map(|i| timer.time(|| f(check(i)))).collect();
-        }
-        return (0..total).map(|i| f(check(i))).collect();
-    }
-
-    unsafe fn fill_slot<T, F>(ctx: *const (), i: usize)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        // SAFETY: `ctx` points at the `RunCtx` on the submitting
-        // caller's stack, alive until its `wait_done` returns (Region
-        // invariant); each index is claimed exactly once, so the slot
-        // write is unaliased.
-        let ctx = unsafe { &*ctx.cast::<RunCtx<'_, T, F>>() };
-        let value = (ctx.f)(i);
-        unsafe { ctx.slots[i].write(value) };
-    }
-
     let mut slots: Vec<Slot<T>> = Vec::new();
     slots.resize_with(total, Slot::new);
-    let panicked = {
-        let ctx = RunCtx { f: &f, slots: &slots };
-        let region = Arc::new(Region::new(
-            fill_slot::<T, F>,
-            &ctx as *const RunCtx<'_, T, F> as *const (),
-            total,
-            cap,
-            label,
-        ));
-        pool.submit(Arc::clone(&region));
-        let mine = region.execute_until_empty();
-        region.exit();
-        // Our departure frees cap headroom; wake scanners.
-        pool.work.notify_all();
-        region.wait_done();
-        pool.retire(&region);
-        pool.regions.fetch_add(1, Ordering::Relaxed);
-        pool.executed.fetch_add(total as u64, Ordering::Relaxed);
-        pool.helped.fetch_add(mine, Ordering::Relaxed);
-        pool.stolen.fetch_add(total as u64 - mine, Ordering::Relaxed);
-        region.take_panic()
-    };
-    if let Some(payload) = panicked {
-        resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|mut s| s.take().expect("completed region left an empty slot"))
-        .collect()
-}
-
-struct MutCtx<'a, S, F> {
-    f: &'a F,
-    base: *mut S,
-    _marker: std::marker::PhantomData<&'a mut [S]>,
-}
-
-/// [`run_mut_labeled`] under the generic region label `"region"`.
-pub fn run_mut<S, F>(states: &mut [S], cap: usize, f: F)
-where
-    S: Send,
-    F: Fn(usize, &mut S) + Sync,
-{
-    run_mut_labeled("region", states, cap, f);
+    // SAFETY: `drive` runs each index exactly once, so every slot has
+    // one writer.
+    drive(label, total, cap, |i| unsafe { slots[i].write(f(i)) });
+    slots.into_iter().map(|mut s| s.take().expect("completed region left an empty slot")).collect()
 }
 
 /// Runs `f(i, &mut states[i])` for every index with at most `cap`
@@ -1106,82 +1085,29 @@ where
     F: Fn(usize, &mut S) + Sync,
 {
     let total = states.len();
-    if total == 0 {
-        return;
-    }
-    let pool = Pool::global();
-    if IN_TASK.with(Cell::get) {
-        pool.nested.fetch_add(1, Ordering::Relaxed);
-    }
-    let _region_span = desc_telemetry::span("region", label);
-    let cap = cap.max(1).min(total);
-    if cap > 1 {
-        pool.ensure_workers();
-    }
-    if cap == 1 || pool.spawned.load(Ordering::Relaxed) == 0 {
-        pool.inline.fetch_add(total as u64, Ordering::Relaxed);
-        pool.executed.fetch_add(total as u64, Ordering::Relaxed);
-        let _in_task = InTaskGuard { was: IN_TASK.with(|fl| fl.replace(true)) };
-        let cancel = current_cancel();
-        let check = || {
-            if let Some(token) = &cancel {
-                if token.is_cancelled() {
-                    panic_any(Cancelled);
-                }
-            }
-        };
-        if desc_telemetry::enabled() {
-            let timer = TaskTimer::new(label);
-            for (i, s) in states.iter_mut().enumerate() {
-                check();
-                timer.time(|| f(i, s));
-            }
-        } else {
-            for (i, s) in states.iter_mut().enumerate() {
-                check();
-                f(i, s);
-            }
-        }
-        return;
-    }
+    let base = StatesPtr(states.as_mut_ptr());
+    // SAFETY: `drive` runs each index in `0..total` exactly once and
+    // returns before the `states` borrow ends, so `base.at(i)` is the
+    // only reference to `states[i]` while it lives.
+    drive(label, total, cap, |i| f(i, unsafe { base.at(i) }));
+}
 
-    unsafe fn call_mut<S, F>(ctx: *const (), i: usize)
-    where
-        S: Send,
-        F: Fn(usize, &mut S) + Sync,
-    {
-        // SAFETY: `ctx` is alive until the caller's `wait_done`
-        // returns (Region invariant); indices are claimed exactly
-        // once, so `base.add(i)` is a unique `&mut` into the slice.
-        let ctx = unsafe { &*ctx.cast::<MutCtx<'_, S, F>>() };
-        let state = unsafe { &mut *ctx.base.add(i) };
-        (ctx.f)(i, state);
-    }
+/// The base of a [`run_mut_labeled`] slice, shared with every thread
+/// that drains the region.
+struct StatesPtr<S>(*mut S);
 
-    let panicked = {
-        let ctx =
-            MutCtx { f: &f, base: states.as_mut_ptr(), _marker: std::marker::PhantomData };
-        let region = Arc::new(Region::new(
-            call_mut::<S, F>,
-            &ctx as *const MutCtx<'_, S, F> as *const (),
-            total,
-            cap,
-            label,
-        ));
-        pool.submit(Arc::clone(&region));
-        let mine = region.execute_until_empty();
-        region.exit();
-        pool.work.notify_all();
-        region.wait_done();
-        pool.retire(&region);
-        pool.regions.fetch_add(1, Ordering::Relaxed);
-        pool.executed.fetch_add(total as u64, Ordering::Relaxed);
-        pool.helped.fetch_add(mine, Ordering::Relaxed);
-        pool.stolen.fetch_add(total as u64 - mine, Ordering::Relaxed);
-        region.take_panic()
-    };
-    if let Some(payload) = panicked {
-        resume_unwind(payload);
+// SAFETY: tasks only form disjoint `&mut` into the slice, one per
+// index, and `S: Send` lets each of them move to another thread.
+unsafe impl<S: Send> Sync for StatesPtr<S> {}
+
+impl<S> StatesPtr<S> {
+    /// # Safety
+    ///
+    /// `i` must be in bounds of the slice, and no other reference to
+    /// element `i` may be live while the returned one is.
+    unsafe fn at<'a>(&self, i: usize) -> &'a mut S {
+        // SAFETY: upheld by the caller.
+        unsafe { &mut *self.0.add(i) }
     }
 }
 
@@ -1238,20 +1164,24 @@ impl<T> Drop for Slot<T> {
 mod tests {
     use super::*;
 
+    fn current_cancel() -> Option<CancelToken> {
+        INSTALLED.with(|c| c.borrow().0.clone())
+    }
+
     #[test]
     fn results_arrive_in_index_order_for_any_cap() {
         configure(4);
         let expect: Vec<usize> = (0..100).map(|i| i * i).collect();
         for cap in [1, 2, 3, 8, 64, 200] {
-            assert_eq!(run(100, cap, |i| i * i), expect, "cap={cap}");
+            assert_eq!(run_labeled("region", 100, cap, |i| i * i), expect, "cap={cap}");
         }
     }
 
     #[test]
     fn zero_and_single_task_regions() {
         configure(4);
-        assert!(run(0, 8, |i| i).is_empty());
-        assert_eq!(run(1, 8, |i| i + 41), vec![41]);
+        assert!(run_labeled("region", 0, 8, |i| i).is_empty());
+        assert_eq!(run_labeled("region", 1, 8, |i| i + 41), vec![41]);
     }
 
     #[test]
@@ -1260,7 +1190,9 @@ mod tests {
         let expect: Vec<usize> =
             (0..6).map(|c| (0..12).map(|p| c * 100 + p).sum::<usize>()).collect();
         for _ in 0..20 {
-            let got = run(6, 4, |c| run(12, 3, |p| c * 100 + p).into_iter().sum::<usize>());
+            let got = run_labeled("region", 6, 4, |c| {
+                run_labeled("region", 12, 3, |p| c * 100 + p).into_iter().sum::<usize>()
+            });
             assert_eq!(got, expect);
         }
     }
@@ -1270,7 +1202,7 @@ mod tests {
         configure(4);
         for cap in [1, 2, 8] {
             let mut states: Vec<u64> = (0..50).collect();
-            run_mut(&mut states, cap, |i, s| *s += i as u64 * 10);
+            run_mut_labeled("region", &mut states, cap, |i, s| *s += i as u64 * 10);
             let expect: Vec<u64> = (0..50).map(|i| i + i * 10).collect();
             assert_eq!(states, expect, "cap={cap}");
         }
@@ -1280,7 +1212,7 @@ mod tests {
     fn task_panic_propagates_to_caller_and_pool_survives() {
         configure(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run(64, 4, |i| {
+            run_labeled("region", 64, 4, |i| {
                 if i == 17 {
                     panic!("boom at {i}");
                 }
@@ -1290,15 +1222,15 @@ mod tests {
         assert!(result.is_err(), "panic must reach the submitting caller");
         // The pool must not be wedged by the cancelled region.
         let expect: Vec<usize> = (0..32).map(|i| i * 3).collect();
-        assert_eq!(run(32, 4, |i| i * 3), expect);
+        assert_eq!(run_labeled("region", 32, 4, |i| i * 3), expect);
     }
 
     #[test]
     fn stats_count_tasks() {
         configure(2);
         let before = stats();
-        let _ = run(10, 1, |i| i); // cap 1 -> inline path
-        let _ = run(10, 4, |i| i);
+        let _ = run_labeled("region", 10, 1, |i| i); // cap 1 -> inline path
+        let _ = run_labeled("region", 10, 4, |i| i);
         let after = stats();
         assert!(after.tasks_executed >= before.tasks_executed + 20);
         assert!(after.tasks_inline >= before.tasks_inline + 10);
@@ -1311,7 +1243,8 @@ mod tests {
         let before = stats().regions_nested;
         // 4 outer tasks, each submitting one inner region (the inner
         // cap of 1 keeps it on the inline path — still a region).
-        let _ = run(4, 2, |c| run(3, 1, move |p| c * 10 + p).len());
+        let _ =
+            run_labeled("region", 4, 2, |c| run_labeled("region", 3, 1, move |p| c * 10 + p).len());
         let after = stats().regions_nested;
         assert!(after >= before + 4, "nested submissions: {before} -> {after}");
     }
@@ -1359,7 +1292,7 @@ mod tests {
         let group = Group::new("charged", 2);
         let before_vtime = group.vtime();
         let guard = install_group(Some(group.clone()));
-        let _ = run(10, 2, |i| i);
+        let _ = run_labeled("region", 10, 2, |i| i);
         drop(guard);
         assert_eq!(group.tasks(), 10);
         // Weight 2 => half a weight-1 charge per task; the submit-time
@@ -1379,7 +1312,7 @@ mod tests {
             let release = Arc::clone(&release);
             std::thread::spawn(move || {
                 let _g = install_group(Some(group));
-                run(4, 2, move |_| {
+                run_labeled("region", 4, 2, move |_| {
                     while !release.load(Ordering::Relaxed) {
                         std::thread::sleep(Duration::from_millis(1));
                     }
@@ -1397,7 +1330,7 @@ mod tests {
             let fresh = fresh.clone();
             std::thread::spawn(move || {
                 let _g = install_group(Some(fresh));
-                let _ = run(2, 2, |i| i);
+                let _ = run_labeled("region", 2, 2, |i| i);
             })
             .join()
             .unwrap();
@@ -1419,7 +1352,7 @@ mod tests {
             let started = Arc::clone(&sweep_started);
             std::thread::spawn(move || {
                 let _g = install_group(Some(Group::new("sweep", 1)));
-                run(300, 4, move |_| {
+                run_labeled("region", 300, 4, move |_| {
                     started.store(true, Ordering::Relaxed);
                     std::thread::sleep(Duration::from_millis(2));
                 });
@@ -1432,7 +1365,7 @@ mod tests {
         // one-cell request in its own group must not wait for it.
         let _g = install_group(Some(Group::new("ping", 1)));
         let started = Instant::now();
-        assert_eq!(run(2, 2, |i| i * 7), vec![0, 7]);
+        assert_eq!(run_labeled("region", 2, 2, |i| i * 7), vec![0, 7]);
         let elapsed = started.elapsed();
         sweep.join().unwrap();
         assert!(
@@ -1458,7 +1391,7 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         let result = catch_unwind(AssertUnwindSafe(|| {
             let ran = Arc::clone(&ran);
-            run(64, 2, move |_| {
+            run_labeled("region", 64, 2, move |_| {
                 ran.fetch_add(1, Ordering::Relaxed);
             })
         }));
@@ -1470,7 +1403,7 @@ mod tests {
             "no task may start after the deadline passed"
         );
         // The pool must stay healthy for subsequent regions.
-        let values = run(8, 2, |i| i * 2);
+        let values = run_labeled("region", 8, 2, |i| i * 2);
         assert_eq!(values, (0..8).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -1483,7 +1416,7 @@ mod tests {
         let result = catch_unwind(AssertUnwindSafe(|| {
             let ran = Arc::clone(&ran);
             let token = token.clone();
-            run(256, 2, move |i| {
+            run_labeled("region", 256, 2, move |i| {
                 if i == 0 {
                     token.cancel();
                 }
@@ -1501,12 +1434,12 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let _guard = install_cancel(Some(token));
-        let result = catch_unwind(AssertUnwindSafe(|| run(4, 1, |i| i)));
+        let result = catch_unwind(AssertUnwindSafe(|| run_labeled("region", 4, 1, |i| i)));
         assert_cancelled(result.expect_err("inline run must observe the token"));
 
         let mut states = [0u64; 4];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_mut(&mut states, 1, |_, s| *s += 1);
+            run_mut_labeled("region", &mut states, 1, |_, s| *s += 1);
         }));
         assert_cancelled(result.expect_err("inline run_mut must observe the token"));
     }
@@ -1518,7 +1451,7 @@ mod tests {
         {
             let inner = CancelToken::new();
             let _inner_guard = install_cancel(Some(inner));
-            let values = run(8, 1, |i| i + 1);
+            let values = run_labeled("region", 8, 1, |i| i + 1);
             assert_eq!(values.len(), 8);
         }
         // Inner guard dropped: the outer token is installed again.

@@ -17,9 +17,9 @@ fn many_cells_times_many_partitions_on_a_two_thread_pool() {
         .collect();
 
     for round in 0..10 {
-        let got = desc_exec::run(48, 4, |c| {
+        let got = desc_exec::run_labeled("region", 48, 4, |c| {
             let c = c as u64;
-            desc_exec::run(32, 4, |p| {
+            desc_exec::run_labeled("region", 32, 4, |p| {
                 let p = p as u64;
                 // A little real work so claims interleave across threads.
                 let mut acc = 0u64;

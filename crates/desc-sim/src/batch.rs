@@ -10,24 +10,13 @@
 //! returned costs, so every downstream accumulation — cost summaries,
 //! f64 energy sums, bank schedules, DRAM events — happens in exactly
 //! the order the per-access code produced.
-//!
-//! Setting the `DESC_SCALAR_TRANSFERS` environment variable to anything
-//! but `0`/empty forces the scalar reference loop
-//! ([`desc_core::transfer_each`]) inside the same drain structure; CI
-//! byte-compares figure CSVs across the toggle.
 
-use desc_core::{transfer_each, Block, BlockSlab, TransferCost, TransferScheme};
+use desc_core::{Block, BlockSlab, TransferCost, TransferScheme};
 
 /// Queued blocks per partition before a drain is forced. Bounds the
 /// slab and cost buffers to a few tens of KiB per channel while still
 /// amortizing dispatch and telemetry over hundreds of blocks.
 pub(crate) const FLUSH_CAP: usize = 256;
-
-/// True when the `DESC_SCALAR_TRANSFERS` toggle selects the scalar
-/// reference path.
-pub(crate) fn scalar_transfers() -> bool {
-    std::env::var_os("DESC_SCALAR_TRANSFERS").is_some_and(|v| !v.is_empty() && v != "0")
-}
 
 /// One transfer channel's batch state: the slab of blocks awaiting
 /// encode and the costs of the last drain, consumed in FIFO order.
@@ -58,17 +47,12 @@ impl ChannelBatch {
     }
 
     /// Encodes the queued slab through `scheme`, refilling the cost
-    /// queue. `scalar` selects the reference loop instead of the
-    /// batched kernel (the `DESC_SCALAR_TRANSFERS` toggle).
-    pub(crate) fn encode(&mut self, scheme: &mut dyn TransferScheme, scalar: bool) {
+    /// queue.
+    pub(crate) fn encode(&mut self, scheme: &mut dyn TransferScheme) {
         debug_assert_eq!(self.cursor, self.costs.len(), "unconsumed costs at encode");
         self.costs.clear();
         self.cursor = 0;
-        if scalar {
-            transfer_each(scheme, &self.slab, &mut self.costs);
-        } else {
-            scheme.transfer_many(&self.slab, &mut self.costs);
-        }
+        scheme.transfer_many(&self.slab, &mut self.costs);
         self.slab.clear();
     }
 
@@ -99,7 +83,7 @@ mod tests {
                 expected.push(scalar.transfer(&block));
                 batch.push(&block);
             }
-            batch.encode(&mut batched, false);
+            batch.encode(&mut batched);
             for _ in 0..10 {
                 got.push(batch.next_cost());
             }
@@ -108,20 +92,22 @@ mod tests {
     }
 
     #[test]
-    fn scalar_toggle_takes_the_reference_loop() {
+    fn batch_costs_match_the_reference_loop() {
         let mut a = DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero);
         let mut b = a.clone();
         let mut fast = ChannelBatch::new(64);
-        let mut reference = ChannelBatch::new(64);
+        let mut slab = BlockSlab::with_capacity(64, 20);
         for k in 0..20u8 {
             let block = Block::from_bytes(&[k; 64]);
             fast.push(&block);
-            reference.push(&block);
+            slab.push(&block);
         }
-        fast.encode(&mut a, false);
-        reference.encode(&mut b, true);
-        for _ in 0..20 {
-            assert_eq!(fast.next_cost(), reference.next_cost());
+        fast.encode(&mut a);
+        let mut reference = Vec::new();
+        desc_core::transfer_each(&mut b, &slab, &mut reference);
+        assert_eq!(reference.len(), 20);
+        for cost in reference {
+            assert_eq!(fast.next_cost(), cost);
         }
     }
 }

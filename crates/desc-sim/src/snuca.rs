@@ -27,7 +27,7 @@
 //! **bit-identical for any shard count**.
 
 use crate::bank::{home_bank, BankScheduler};
-use crate::batch::{scalar_transfers, ChannelBatch, FLUSH_CAP};
+use crate::batch::{ChannelBatch, FLUSH_CAP};
 use crate::cache::{CacheOutcome, SetAssocCache};
 use crate::config::SimConfig;
 use crate::dram::Dram;
@@ -270,9 +270,7 @@ impl SnucaSim {
             // Transfers are batched per channel; the queued accesses
             // replay in program order at drain time, so the f64 energy
             // accumulation order — and with it every result bit — is
-            // identical to the per-access scalar loop (which the
-            // `DESC_SCALAR_TRANSFERS` toggle forces).
-            let scalar = scalar_transfers();
+            // identical to the per-access scalar loop.
             let mut batches: Vec<ChannelBatch> =
                 (0..channels.len()).map(|_| ChannelBatch::new(cfg.l2.block_bytes)).collect();
             let mut pending: Vec<PendingAccess> = Vec::with_capacity(FLUSH_CAP);
@@ -287,7 +285,7 @@ impl SnucaSim {
                 }
                 for (ch, batch) in batches.iter_mut().enumerate() {
                     if batch.queued() > 0 {
-                        batch.encode(channels[ch].0.as_mut(), scalar);
+                        batch.encode(channels[ch].0.as_mut());
                     }
                 }
                 for pa in pending.drain(..) {

@@ -19,7 +19,7 @@
 //! ([`SimConfig::dram_epoch_cycles`]).
 
 use crate::bank::{home_bank, BankScheduler};
-use crate::batch::{scalar_transfers, ChannelBatch, FLUSH_CAP};
+use crate::batch::{ChannelBatch, FLUSH_CAP};
 use crate::cache::{CacheOutcome, SetAssocCache};
 use crate::config::SimConfig;
 use crate::dram::Dram;
@@ -270,9 +270,7 @@ impl SystemSim {
         // `TransferScheme::transfer_many` in bounded flushes; the
         // queued accesses then replay in program order against the
         // returned costs, so every result is bit-identical to the
-        // per-access scalar path (which the `DESC_SCALAR_TRANSFERS`
-        // toggle forces, for byte-compares).
-        let scalar = scalar_transfers();
+        // per-access scalar path.
         let lv_penalty = self.config.last_value_write_penalty;
 
         // ---- Functional phase: directory, transfers, transitions. ---
@@ -325,7 +323,7 @@ impl SystemSim {
                 if pending.is_empty() {
                     return;
                 }
-                batch.encode(scheme.as_mut(), scalar);
+                batch.encode(scheme.as_mut());
                 for pa in pending.drain(..) {
                     let take = |out: &mut PartitionSim,
                                     batch: &mut ChannelBatch,

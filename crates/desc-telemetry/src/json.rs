@@ -335,13 +335,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run up to the next quote or escape in
+                // one slice. Both are ASCII, so the run ends on a char
+                // boundary of the input `&str` and validating it costs
+                // only its own length.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |k| *pos + k);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| "invalid utf-8".to_owned())?;
-                let c = rest.chars().next().ok_or_else(|| "unterminated string".to_owned())?;
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -404,6 +409,21 @@ mod tests {
         let back = Json::parse(&text).expect("round trip parses");
         assert_eq!(back, doc);
         assert_eq!(back.get("max").and_then(Json::as_u64), Some(u64::MAX));
+    }
+
+    #[test]
+    fn long_strings_mixing_multibyte_chars_and_escapes_round_trip() {
+        let mut s = String::new();
+        for i in 0..20_000 {
+            s.push_str(["plain ", "µs ", "→ ", "🦀", "\"q\"", "\\", "\n", "\u{1}", "é\t"][i % 9]);
+        }
+        let doc = Json::obj()
+            .with("long", Json::Str(s.clone()))
+            .with("tail", Json::Arr(vec![Json::Str("ß\"".repeat(5_000)), Json::UInt(7)]));
+        let back = Json::parse(&doc.to_pretty()).expect("round trip parses");
+        assert_eq!(back, doc);
+        assert_eq!(back.get("long").and_then(Json::as_str), Some(s.as_str()));
+        assert!(Json::parse("\"unterminated µs").is_err());
     }
 
     #[test]
