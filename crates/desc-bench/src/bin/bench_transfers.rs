@@ -15,9 +15,11 @@
 //!
 //! Two further axes ride along:
 //!
-//! * **batch** — scalar-vs-batched speedup per scheme mode at slab
-//!   sizes 1/16/256: per-block `transfer` calls against one
-//!   `transfer_many` (or `Link::transfer_many`) over the same blocks.
+//! * **batch** — scalar-vs-batched speedup per analytic scheme at slab
+//!   sizes 1/16/256: per-block `TransferScheme::transfer` calls against
+//!   one `TransferScheme::transfer_many` over the same blocks. The
+//!   cycle-stepped `Link` has no batched entry; it is measured only by
+//!   the scalar rows above.
 //! * **micro** — `Block::hamming_distance`'s u64 word fold against a
 //!   byte-at-a-time reference loop.
 //!
@@ -59,18 +61,14 @@ fn mode_name(mode: SkipMode) -> &'static str {
     }
 }
 
-fn link_config(mode: SkipMode) -> LinkConfig {
-    LinkConfig {
+fn bench_mode(mode: SkipMode, blocks: &[Block]) -> f64 {
+    let mut link = Link::new(LinkConfig {
         wires: 128,
         chunk_size: ChunkSize::PAPER_DEFAULT,
         mode,
         wire_delay: 2,
         trace: TraceCapture::Off,
-    }
-}
-
-fn bench_mode(mode: SkipMode, blocks: &[Block]) -> f64 {
-    let mut link = Link::new(link_config(mode));
+    });
     // Warmup: fault in the pool and let the scratch buffers size
     // themselves.
     for b in blocks {
@@ -167,7 +165,7 @@ fn main() {
         );
     }
 
-    // ---- Batch axis: scalar vs transfer_many per scheme mode. -------
+    // ---- Batch axis: scalar vs transfer_many per analytic scheme. ---
     println!(
         "\n{:<20} {:>6} {:>16} {:>17} {:>8}",
         "mode", "batch", "scalar blk/s", "batched blk/s", "speedup"
@@ -254,27 +252,6 @@ fn main() {
             },
         );
         batch_row(&mut harness, "zero_skip_analytic", batch, rates);
-
-        // The cycle-stepped link: batched entry skips the event list
-        // and receiver entirely when capture is off.
-        for mode in [SkipMode::None, SkipMode::Zero, SkipMode::LastValue] {
-            let mut s = Link::new(link_config(mode));
-            let mut b = Link::new(link_config(mode));
-            let mut costs: Vec<TransferCost> = Vec::with_capacity(batch);
-            let rates = bench_batch(
-                &blocks,
-                batch,
-                |blk| {
-                    black_box(s.transfer(blk).cost.cycles);
-                },
-                |slab| {
-                    costs.clear();
-                    b.transfer_many(slab, &mut costs);
-                    black_box(costs.len());
-                },
-            );
-            batch_row(&mut harness, mode_name(mode), batch, rates);
-        }
     }
 
     // ---- Micro: hamming distance, byte loop vs u64 word fold. -------

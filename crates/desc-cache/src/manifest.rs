@@ -22,6 +22,7 @@ use crate::hash::CellKey;
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// In-memory view of the manifest file, rewritten atomically on every
 /// append.
@@ -122,10 +123,19 @@ fn parse_line(line: &str) -> Option<(CellKey, u32)> {
     Some((key, version))
 }
 
+/// A file-name suffix no other call in any live process returns: the
+/// process id plus a process-wide sequence number.
+pub(crate) fn unique_suffix() -> String {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    format!("{}.{}", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed))
+}
+
 /// Writes `bytes` to `path` atomically: temp file in the same
 /// directory (same filesystem, so the rename cannot cross devices),
 /// then rename over the target. A crash at any point leaves either
-/// the old file or the new one, never a torn mix.
+/// the old file or the new one, never a torn mix. Each call writes
+/// its own temp file, so concurrent writers of one path all succeed
+/// and the last rename wins.
 ///
 /// # Errors
 ///
@@ -134,7 +144,7 @@ fn parse_line(line: &str) -> Option<(CellKey, u32)> {
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let stem = path.file_name().and_then(|n| n.to_str()).unwrap_or("entry");
-    let tmp = dir.join(format!(".{stem}.tmp.{}", std::process::id()));
+    let tmp = dir.join(format!(".{stem}.tmp.{}", unique_suffix()));
     let result = (|| {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(bytes)?;

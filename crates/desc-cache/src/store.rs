@@ -41,7 +41,7 @@
 
 use crate::codec::{decode_entry, encode_entry, CodecError, Entry};
 use crate::hash::CellKey;
-use crate::manifest::{write_atomic, Manifest};
+use crate::manifest::{unique_suffix, write_atomic, Manifest};
 use desc_telemetry::Snapshot;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -361,8 +361,10 @@ impl CacheStore {
         let dir = dir.into();
         std::fs::create_dir_all(dir.join("objects"))?;
         // Probe writability up front so a read-only directory fails
-        // loudly at startup instead of degrading every store.
-        let probe = dir.join(".probe");
+        // loudly at startup instead of degrading every store. The
+        // probe name is per call, so concurrent opens of one
+        // directory never remove each other's probe.
+        let probe = dir.join(format!(".probe.{}", unique_suffix()));
         write_atomic(&probe, b"desc-cache")?;
         std::fs::remove_file(&probe)?;
         let manifest = Manifest::load(dir.join("manifest"))?;

@@ -33,8 +33,8 @@
 //! * Chained basic-DESC decoding keeps a per-wire running prefix, so
 //!   decoding a block is O(chunks) rather than O(rounds²) per wire.
 
-use crate::block::{Block, BlockSlab};
-use crate::chunk::{chunk_values_into, ChunkSize, WireAssignment};
+use crate::block::Block;
+use crate::chunk::{ChunkSize, WireAssignment};
 use crate::cost::TransferCost;
 use crate::schemes::SkipMode;
 use std::fmt;
@@ -624,136 +624,6 @@ impl Link {
         LinkTransfer { decoded, trace, cost }
     }
 
-    /// Transfers every block in `slab`, appending one cost per block to
-    /// `costs` — bit-identical to `slab.len()` sequential
-    /// [`Link::transfer`] calls, including the link's persistent
-    /// last-value state afterwards.
-    ///
-    /// With [`TraceCapture::Off`] (the hot-path configuration) this
-    /// skips the event list and the receiver entirely: chunk values are
-    /// extracted word-at-a-time from the slab and the cost falls out of
-    /// the same window arithmetic the transmitter uses, with telemetry
-    /// accumulated across the batch and flushed once. With
-    /// [`TraceCapture::Packed`] each block runs the full cycle-stepped
-    /// protocol (waveforms are per-block artifacts; batching only
-    /// amortizes the dispatch), and the decoded output is discarded —
-    /// use [`Link::transfer`] when the decode or trace is needed.
-    pub fn transfer_many(&mut self, slab: &BlockSlab, costs: &mut Vec<TransferCost>) {
-        if slab.is_empty() {
-            return;
-        }
-        if self.config.trace == TraceCapture::Packed {
-            let mut scratch = Block::zeroed(slab.byte_len());
-            costs.reserve(slab.len());
-            for b in 0..slab.len() {
-                slab.copy_block_into(b, &mut scratch);
-                costs.push(self.transfer(&scratch).cost);
-            }
-            return;
-        }
-
-        let width = self.config.chunk_size.bits() as usize;
-        let n_chunks = self.config.chunk_size.chunks_for_bits(slab.bit_len());
-        let wires = self.config.wires;
-        let rounds = n_chunks.div_ceil(wires);
-        let last_value_mode = self.config.mode == SkipMode::LastValue;
-        let mut chunk_values = std::mem::take(&mut self.chunk_values);
-        // Batch-wide telemetry accumulators, flushed once below.
-        let mut batch_data = 0u64;
-        let mut batch_control = 0u64;
-        let mut batch_cycles = 0u64;
-        costs.reserve(slab.len());
-        for b in 0..slab.len() {
-            chunk_values.clear();
-            chunk_values_into(
-                slab.block_words(b).iter().copied(),
-                n_chunks,
-                width,
-                &mut chunk_values,
-            );
-            let mut data_transitions = 0u64;
-            let mut control_transitions = 1u64; // opening reset toggle
-            let cycles = match self.config.mode {
-                SkipMode::None => {
-                    // Per-wire chained chunks: the transfer ends when
-                    // the slowest wire's accumulated positions run out.
-                    // `wire_prefix` doubles as the per-wire clock (the
-                    // decoder that normally owns it is not running).
-                    self.wire_prefix.fill(0);
-                    for (i, &v) in chunk_values.iter().enumerate() {
-                        let w = i % wires;
-                        self.wire_prefix[w] += Self::position(v, None);
-                        self.tx_last[w] = v;
-                        self.rx_last[w] = v;
-                    }
-                    data_transitions = n_chunks as u64;
-                    self.wire_prefix.iter().copied().max().unwrap_or(0).max(1)
-                }
-                SkipMode::Zero | SkipMode::LastValue => {
-                    let mut now = 0u64;
-                    for r in 0..rounds {
-                        let base = r * wires;
-                        let end = (base + wires).min(n_chunks);
-                        let mut max_pos = 0u64;
-                        let mut any_skipped = false;
-                        for (w, &v) in chunk_values[base..end].iter().enumerate() {
-                            let skip = if last_value_mode { self.tx_last[w] } else { 0 };
-                            if v == skip {
-                                any_skipped = true;
-                            } else {
-                                data_transitions += 1;
-                                max_pos = max_pos.max(Self::position(v, Some(skip)));
-                            }
-                            self.tx_last[w] = v;
-                            self.rx_last[w] = v;
-                        }
-                        now += max_pos.max(1);
-                        if r + 1 < rounds || any_skipped {
-                            control_transitions += 1;
-                        }
-                    }
-                    now.max(1)
-                }
-            };
-            batch_data += data_transitions;
-            batch_control += control_transitions;
-            batch_cycles += cycles;
-            costs.push(TransferCost {
-                data_transitions,
-                control_transitions,
-                sync_transitions: 0,
-                latency_cycles: 0,
-                cycles,
-            });
-        }
-        self.chunk_values = chunk_values;
-
-        if desc_telemetry::enabled() {
-            let n = slab.len() as u64;
-            desc_telemetry::counter!("core.link.transfers").add(n);
-            desc_telemetry::counter!("core.link.data_transitions").add(batch_data);
-            desc_telemetry::counter!("core.link.control_transitions").add(batch_control);
-            desc_telemetry::counter!("core.link.cycles").add(batch_cycles);
-            desc_telemetry::counter!("core.link.rounds").add(rounds as u64 * n);
-            desc_telemetry::counter!("core.link.chunks").add(n_chunks as u64 * n);
-            match self.config.mode {
-                SkipMode::None => {
-                    desc_telemetry::counter!("core.link.mode.none.transfers").add(n);
-                }
-                SkipMode::Zero => {
-                    desc_telemetry::counter!("core.link.mode.zero.transfers").add(n);
-                    desc_telemetry::counter!("core.link.skipped_chunks")
-                        .add(n_chunks as u64 * n - batch_data);
-                }
-                SkipMode::LastValue => {
-                    desc_telemetry::counter!("core.link.mode.last_value.transfers").add(n);
-                    desc_telemetry::counter!("core.link.skipped_chunks")
-                        .add(n_chunks as u64 * n - batch_data);
-                }
-            }
-        }
-    }
-
     /// Builds the packed waveform from the (sorted) event list: each
     /// lane is high between its odd- and even-numbered toggles.
     fn capture_trace(&self, total_cycles: u64) -> SignalTrace {
@@ -1278,63 +1148,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn transfer_many_matches_sequential_transfers() {
-        // The batched fast path (no event list, no receiver) must cost
-        // exactly what the cycle-stepped protocol costs, block for
-        // block, and leave the same last-value state behind.
-        let mut rng = Rng64::seed_from_u64(0xBA7C);
-        for mode in [SkipMode::None, SkipMode::Zero, SkipMode::LastValue] {
-            for wires in [1usize, 3, 16, 128] {
-                let c = LinkConfig { trace: TraceCapture::Off, ..cfg(wires, 4, mode, 2) };
-                let mut scalar = Link::new(c);
-                let mut batched = Link::new(c);
-                let mut slab = BlockSlab::new(64);
-                let mut expected = Vec::new();
-                for _ in 0..24 {
-                    let bytes: Vec<u8> = (0..64)
-                        .map(|_| if rng.gen_bool(0.35) { 0 } else { rng.gen::<u8>() })
-                        .collect();
-                    let block = Block::from_bytes(&bytes);
-                    expected.push(scalar.transfer(&block).cost);
-                    slab.push(&block);
-                }
-                let mut got = Vec::new();
-                batched.transfer_many(&slab, &mut got);
-                assert_eq!(expected, got, "{mode:?} {wires} wires");
-                // Last-value state must have carried identically: a
-                // probe transfer costs the same on both links.
-                let probe = Block::from_bytes(&[0x5A; 64]);
-                assert_eq!(
-                    scalar.transfer(&probe).cost,
-                    batched.transfer(&probe).cost,
-                    "{mode:?} {wires} wires post-batch state"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn transfer_many_with_capture_matches_too() {
-        // Packed capture falls back to the cycle-stepped path per
-        // block; costs must still be identical to sequential calls.
-        let mut rng = Rng64::seed_from_u64(77);
-        let c = cfg(16, 4, SkipMode::LastValue, 0); // Packed capture
-        let mut scalar = Link::new(c);
-        let mut batched = Link::new(c);
-        let mut slab = BlockSlab::new(32);
-        let mut expected = Vec::new();
-        for _ in 0..8 {
-            let bytes: Vec<u8> = (0..32).map(|_| rng.gen::<u8>()).collect();
-            let block = Block::from_bytes(&bytes);
-            expected.push(scalar.transfer(&block).cost);
-            slab.push(&block);
-        }
-        let mut got = Vec::new();
-        batched.transfer_many(&slab, &mut got);
-        assert_eq!(expected, got);
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn write_common(
 }
 
 /// Content address of one UCA app cell (the
-/// [`crate::common::run_custom`] pipeline).
+/// [`crate::common::run_custom_keyed`] pipeline).
 #[must_use]
 pub fn app_key(
     scheme_id: &str,

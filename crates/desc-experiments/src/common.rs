@@ -122,11 +122,8 @@ impl AppRun {
     }
 }
 
-/// Simulates `profile` under `scheme` on `config`, prices the
-/// activity, and rolls up processor energy. `static_overhead`
-/// multiplies L2 leakage (see [`scheme_static_overhead`]).
-#[must_use]
-pub fn run_custom(
+/// The uncached compute behind [`run_custom_keyed`].
+fn simulate_app(
     scheme: Box<dyn TransferScheme>,
     mut config: SimConfig,
     profile: &BenchmarkProfile,
@@ -153,7 +150,11 @@ pub fn run_custom(
     AppRun { result, l2, processor }
 }
 
-/// [`run_custom`] behind the cell cache: when `repro --cache-dir`
+/// Simulates `profile` under `scheme` on `config`, prices the
+/// activity, and rolls up processor energy. `static_overhead`
+/// multiplies L2 leakage (see [`scheme_static_overhead`]).
+///
+/// The cell runs behind the cell cache: when `repro --cache-dir`
 /// installed a [`desc_cache::CacheStore`] (see [`crate::cache`]), the
 /// cell's content address is looked up first and a hit skips the
 /// simulation entirely. `scheme_id` must spell out the scheme's
@@ -176,7 +177,7 @@ pub fn run_custom_keyed(
     static_overhead: f64,
 ) -> AppRun {
     let Some(store) = crate::cache::active() else {
-        return run_custom(scheme, config, profile, scale, static_overhead);
+        return simulate_app(scheme, config, profile, scale, static_overhead);
     };
     let key = crate::cache::app_key(
         scheme_id,
@@ -191,7 +192,7 @@ pub fn run_custom_keyed(
         &key,
         crate::cache::decode_app_run,
         crate::cache::encode_app_run,
-        move || run_custom(scheme, config, profile, scale, static_overhead),
+        move || simulate_app(scheme, config, profile, scale, static_overhead),
     )
 }
 
@@ -370,7 +371,7 @@ pub fn run_snuca(
 /// scalar, a tuple of measurements).
 ///
 /// `cell(config, row)` must derive everything from its arguments and
-/// `scale.seed` (as [`run_app`]/[`run_custom`] do — each cell
+/// `scale.seed` (as [`run_app`]/[`run_custom_keyed`] do — each cell
 /// constructs its own independently seeded simulation), so the result
 /// is **bit-identical to the serial loop for any job count**: the pool
 /// schedule only decides *which* thread computes a cell, never its

@@ -55,7 +55,6 @@ pub struct SetAssocCache {
     /// so contiguity (and not re-allocating per bank slice) matters.
     lines: Vec<Line>,
     ways: usize,
-    block_bytes: u64,
     set_shift: u32,
     /// Mask over the *global* set index (full-cache set count − 1),
     /// even for a bank slice.
@@ -85,7 +84,6 @@ impl SetAssocCache {
         Self {
             lines: vec![Line::default(); set_count * ways],
             ways,
-            block_bytes: block_bytes as u64,
             set_shift: block_bytes.trailing_zeros(),
             set_mask: (set_count - 1) as u64,
             tag_shift: set_count.trailing_zeros(),
@@ -141,7 +139,6 @@ impl SetAssocCache {
         Self {
             lines: vec![Line::default(); (set_count / banks) * ways],
             ways,
-            block_bytes: block_bytes as u64,
             set_shift: block_bytes.trailing_zeros(),
             set_mask: (set_count - 1) as u64,
             tag_shift: set_count.trailing_zeros(),
@@ -204,12 +201,6 @@ impl SetAssocCache {
     #[must_use]
     pub fn invalidations(&self) -> u64 {
         self.invalidations
-    }
-
-    /// Block size in bytes.
-    #[must_use]
-    pub fn block_bytes(&self) -> u64 {
-        self.block_bytes
     }
 }
 

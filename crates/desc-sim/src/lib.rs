@@ -15,6 +15,10 @@
 //! event-by-event, and the resulting stalls feed back into the access
 //! arrival rate until execution time converges.
 //!
+//! The simulator starts at the L2: `desc-workloads` generates post-L1
+//! access streams, so there is no per-core L1 or coherence model.
+//! DESC's results depend on L2 H-tree activity alone (paper §4).
+//!
 //! ```
 //! use desc_sim::{SimConfig, SystemSim};
 //! use desc_workloads::BenchmarkId;
@@ -35,10 +39,8 @@
 pub mod bank;
 mod batch;
 pub mod cache;
-pub mod coherence;
 pub mod config;
 pub mod dram;
-pub mod hierarchy;
 mod shard;
 pub mod snuca;
 pub mod system;

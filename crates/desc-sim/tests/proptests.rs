@@ -5,7 +5,6 @@
 #![cfg(feature = "proptest")]
 
 use desc_sim::bank::BankScheduler;
-use desc_sim::coherence::Directory;
 use desc_sim::dram::Dram;
 use desc_sim::SetAssocCache;
 use proptest::prelude::*;
@@ -67,35 +66,5 @@ proptest! {
         if let Some((addr, _)) = accesses.last() {
             prop_assert!(cache.access(addr & !63, false, 0).is_hit());
         }
-    }
-
-    /// MESI invariants survive arbitrary interleavings of reads,
-    /// writes and evictions from all cores.
-    #[test]
-    fn mesi_invariants_hold(
-        ops in prop::collection::vec((0u8..8, 0u64..32, 0u8..3), 1..400),
-    ) {
-        let mut dir = Directory::new(8);
-        for (core, block, op) in ops {
-            let addr = block * 64;
-            match op {
-                0 => { let _ = dir.read(core, addr); }
-                1 => dir.write(core, addr),
-                _ => { let _ = dir.evict(core, addr); }
-            }
-            prop_assert!(dir.invariants_hold());
-        }
-    }
-
-    /// A block written by one core and read by another always
-    /// produces at least one downgrade or intervention.
-    #[test]
-    fn sharing_generates_protocol_traffic(writer in 0u8..8, reader in 0u8..8) {
-        prop_assume!(writer != reader);
-        let mut dir = Directory::new(8);
-        dir.write(writer, 0x1000);
-        let _ = dir.read(reader, 0x1000);
-        let stats = dir.stats();
-        prop_assert!(stats.downgrades + stats.interventions >= 1);
     }
 }
