@@ -135,9 +135,12 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a server.
+    /// Connects to a server with `TCP_NODELAY` set, so a request frame
+    /// leaves as soon as it is written.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Ok(Client { stream: TcpStream::connect(addr)? })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 
     /// Sends one request document and reads the one reply. An `Err`

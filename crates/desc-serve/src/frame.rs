@@ -82,6 +82,11 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, FrameError> {
 
 /// Writes one length-prefixed frame and flushes. Refuses payloads over
 /// [`MAX_FRAME`] so a writer can never emit what a reader must reject.
+///
+/// Prefix and payload go out from one buffer in one `write_all`: on a
+/// socket without `TCP_NODELAY`, a separate 4-byte prefix write holds
+/// the payload back behind Nagle's algorithm until the peer's delayed
+/// ACK, which costs tens of milliseconds per message.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(std::io::Error::new(
@@ -92,8 +97,10 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<(
     let prefix = u32::try_from(payload.len())
         .expect("MAX_FRAME fits in u32")
         .to_be_bytes();
-    writer.write_all(&prefix)?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(prefix.len() + payload.len());
+    frame.extend_from_slice(&prefix);
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -136,6 +143,27 @@ mod tests {
         bytes.extend_from_slice(b"abc");
         let mut cursor = std::io::Cursor::new(bytes);
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Io(_))));
+    }
+
+    /// Counts `write` calls, accepting every byte of each.
+    struct CountingWriter(usize);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0 += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_goes_out_in_one_write() {
+        let mut sink = CountingWriter(0);
+        write_frame(&mut sink, b"{\"op\":\"ping\"}").unwrap();
+        assert_eq!(sink.0, 1, "prefix and payload must share one write");
     }
 
     #[test]

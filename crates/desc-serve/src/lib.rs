@@ -461,6 +461,10 @@ impl Server {
             if self.shared.gate.is_draining() {
                 break;
             }
+            // Replies go out as soon as they are written instead of
+            // waiting on the client's delayed ACK. Best effort: a
+            // socket that refuses the option is still served.
+            let _ = stream.set_nodelay(true);
             Counters::bump(&self.shared.counters.connections, "serve.connections");
             let conn = Arc::new(Conn {
                 stream: stream.try_clone()?,
@@ -569,14 +573,13 @@ fn handle_request(shared: &Shared, payload: &[u8]) -> (Json, bool) {
             return (proto::error(&id, ErrorCode::Malformed, &msg, None), false);
         }
     };
-    let elapsed = |started: Instant| started.elapsed().as_millis() as u64;
     match request.op {
         Op::Ping => {
             let serve = shared.serve_report().to_json();
             let cache = shared.cache_report().map(|c| c.to_json());
-            (proto::ok_ping(&request.id, elapsed(started), serve, cache), false)
+            (proto::ok_ping(&request.id, started.elapsed(), serve, cache), false)
         }
-        Op::Shutdown => (proto::ok_shutdown(&request.id, elapsed(started)), true),
+        Op::Shutdown => (proto::ok_shutdown(&request.id, started.elapsed()), true),
         Op::Run => {
             let reply = handle_run(shared, &request, started);
             (reply, false)
@@ -704,6 +707,11 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
             .set(shared.counters.active.load(Ordering::Relaxed));
     }
     drop(permit);
+    // Telemetry is on for the request captures, so every cell, region
+    // and partition span also lands in a per-thread ring. Nothing in
+    // `serve` exports spans (replies and `--report` carry none), so
+    // drop them here rather than let the rings grow to capacity.
+    drop(desc_telemetry::drain_spans());
 
     let results = match outcome {
         Ok(results) => results,
@@ -771,9 +779,9 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
         ),
     };
     Counters::bump(&shared.counters.completed, "serve.completed");
-    let elapsed_ms = started.elapsed().as_millis() as u64;
-    shared.note_service_ms(elapsed_ms);
-    proto::ok_run(&request.id, elapsed_ms, dedup_cells, report.to_json(), tables)
+    let elapsed = started.elapsed();
+    shared.note_service_ms(elapsed.as_millis() as u64);
+    proto::ok_run(&request.id, elapsed, dedup_cells, report.to_json(), tables)
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! to the encoders here.
 
 use desc_telemetry::Json;
+use std::time::Duration;
 
 /// Schema tag every request must carry.
 pub const REQUEST_SCHEMA: &str = "desc-run-request/v1";
@@ -243,6 +244,16 @@ fn response_base(id: &str, status: &str) -> Json {
         .with("status", Json::Str(status.to_owned()))
 }
 
+/// The `ok` response prefix: [`response_base`] plus the server-side
+/// wall-clock since frame receipt, in whole milliseconds
+/// (`elapsed_ms`) and whole microseconds (`elapsed_us`, which still
+/// resolves a warm request that finishes inside a millisecond).
+fn response_ok(id: &str, elapsed: Duration) -> Json {
+    response_base(id, "ok")
+        .with("elapsed_ms", Json::UInt(elapsed.as_millis() as u64))
+        .with("elapsed_us", Json::UInt(elapsed.as_micros() as u64))
+}
+
 /// A successful `run` response embedding a full `desc-run-report/v1`
 /// document and, when requested, rendered tables keyed by experiment.
 /// `dedup_cells` counts this request's cells that were computed by a
@@ -251,13 +262,12 @@ fn response_base(id: &str, status: &str) -> Json {
 #[must_use]
 pub fn ok_run(
     id: &str,
-    elapsed_ms: u64,
+    elapsed: Duration,
     dedup_cells: u64,
     report: Json,
     tables: Option<Json>,
 ) -> Json {
-    let mut out = response_base(id, "ok")
-        .with("elapsed_ms", Json::UInt(elapsed_ms))
+    let mut out = response_ok(id, elapsed)
         .with("dedup_cells", Json::UInt(dedup_cells))
         .with("report", report);
     if let Some(tables) = tables {
@@ -269,10 +279,8 @@ pub fn ok_run(
 /// A successful `ping` response with the server's live `serve` and
 /// (when a store is installed) `cache` stanzas.
 #[must_use]
-pub fn ok_ping(id: &str, elapsed_ms: u64, serve: Json, cache: Option<Json>) -> Json {
-    let mut out = response_base(id, "ok")
-        .with("elapsed_ms", Json::UInt(elapsed_ms))
-        .with("serve", serve);
+pub fn ok_ping(id: &str, elapsed: Duration, serve: Json, cache: Option<Json>) -> Json {
+    let mut out = response_ok(id, elapsed).with("serve", serve);
     if let Some(cache) = cache {
         out = out.with("cache", cache);
     }
@@ -281,8 +289,8 @@ pub fn ok_ping(id: &str, elapsed_ms: u64, serve: Json, cache: Option<Json>) -> J
 
 /// A successful `shutdown` acknowledgement.
 #[must_use]
-pub fn ok_shutdown(id: &str, elapsed_ms: u64) -> Json {
-    response_base(id, "ok").with("elapsed_ms", Json::UInt(elapsed_ms))
+pub fn ok_shutdown(id: &str, elapsed: Duration) -> Json {
+    response_ok(id, elapsed)
 }
 
 /// An error response. `retry_after_ms` is only meaningful for
@@ -371,10 +379,12 @@ mod tests {
 
     #[test]
     fn response_builders_tag_the_schema_and_echo_the_id() {
-        let ok = ok_run("req-1", 12, 0, Json::obj(), None);
+        let ok = ok_run("req-1", Duration::from_micros(12_345), 0, Json::obj(), None);
         assert_eq!(ok.get("schema").and_then(Json::as_str), Some(RESPONSE_SCHEMA));
         assert_eq!(ok.get("id").and_then(Json::as_str), Some("req-1"));
         assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(ok.get("elapsed_ms").and_then(Json::as_u64), Some(12));
+        assert_eq!(ok.get("elapsed_us").and_then(Json::as_u64), Some(12_345));
         let err = error("req-2", ErrorCode::Busy, "queue full", Some(250));
         assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
         let code = err.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);

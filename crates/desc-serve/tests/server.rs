@@ -550,3 +550,49 @@ fn serve_binary_listens_answers_and_drains_clean() {
     assert!(status.success(), "clean drain must exit 0, got {status:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn round_trips_cost_the_work_not_a_tcp_timer() {
+    let _guard = serialize();
+    let version = desc_experiments::cache::CELL_SCHEMA_VERSION;
+    desc_experiments::cache::install(Some(Arc::new(desc_cache::CacheStore::in_memory(version))));
+    let (addr, server) = start_server(ServeConfig::default());
+
+    // A raw connection that leaves `TCP_NODELAY` off, like a client
+    // that never heard of it: only the one-write framing and the
+    // server's own `nodelay` keep each message from waiting on a
+    // delayed ACK (about 40 ms per round trip on Linux loopback).
+    let mut stream = std::net::TcpStream::connect(addr).expect("raw connect");
+    let mut round_trip = |request: &Json| {
+        desc_serve::frame::write_frame(&mut stream, request.to_pretty().as_bytes())
+            .expect("send request");
+        let reply = desc_serve::frame::read_frame(&mut stream).expect("read reply");
+        let reply = Json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+        assert_eq!(
+            reply.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "{}",
+            reply.to_pretty()
+        );
+    };
+    let run = tiny_request("warm").to_json();
+    // Untimed: fills the hot tier so the timed runs are warm.
+    round_trip(&run);
+
+    let started = std::time::Instant::now();
+    for _ in 0..40 {
+        round_trip(&ping_request("ping"));
+    }
+    for _ in 0..20 {
+        round_trip(&run);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "40 pings and 20 warm runs took {took:?}; a TCP timer is back on the path"
+    );
+
+    desc_experiments::cache::install(None);
+    shutdown(addr);
+    server.join().expect("server thread").expect("clean drain");
+}

@@ -10,6 +10,7 @@ use desc_serve::client::RunRequest;
 use desc_serve::proto::{self, ErrorCode, Tables};
 use desc_telemetry::Json;
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 /// Extracts the fenced block following the "## Key index" heading.
 fn documented_paths(doc: &str) -> BTreeSet<String> {
@@ -79,11 +80,12 @@ fn service_document_matches_the_wire_encoders() {
     // error shape with its conditional retry hint.
     let report = Json::obj().with("schema", Json::Str("desc-run-report/v1".to_owned()));
     let tables = Json::obj().with("fig16", Json::Str("rendered".to_owned()));
-    flatten("response", &proto::ok_run("id", 1, 1, report, Some(tables)), &mut emitted);
+    let run = proto::ok_run("id", Duration::from_micros(1_500), 1, report, Some(tables));
+    flatten("response", &run, &mut emitted);
     let serve = Json::obj();
     let cache = Json::obj();
-    flatten("response", &proto::ok_ping("id", 0, serve, Some(cache)), &mut emitted);
-    flatten("response", &proto::ok_shutdown("id", 0), &mut emitted);
+    flatten("response", &proto::ok_ping("id", Duration::ZERO, serve, Some(cache)), &mut emitted);
+    flatten("response", &proto::ok_shutdown("id", Duration::ZERO), &mut emitted);
     flatten(
         "response",
         &proto::error("id", ErrorCode::Busy, "queue full", Some(250)),
