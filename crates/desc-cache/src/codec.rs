@@ -22,7 +22,7 @@
 //! the store maps to recompute-and-overwrite, never a wrong figure).
 //! The key echo catches objects renamed or copied to the wrong
 //! address; the trailing checksum catches truncation and bit rot —
-//! relevant because a killed `repro` must never poison `--resume`
+//! relevant because a killed `repro` must never poison its rerun
 //! (writes are also temp-file + rename, so a torn write is unreachable
 //! short of filesystem corruption).
 

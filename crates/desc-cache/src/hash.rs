@@ -27,7 +27,7 @@ pub struct CellKey {
 
 impl CellKey {
     /// Fixed-width lowercase hex form, 32 chars — used for object
-    /// file names and manifest lines.
+    /// file names.
     #[must_use]
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)

@@ -13,11 +13,10 @@
 //! - **Store of record**: one file per cell at
 //!   `<dir>/objects/<first 2 hex>/<32 hex>.cell`, written atomically
 //!   (temp + rename) in the versioned, checksummed entry format of
-//!   [`crate::codec`]. Lookups *probe* the filesystem — the manifest
-//!   is never consulted for reads — so the store self-heals: deleting
-//!   any object just makes that cell recompute.
-//! - **Manifest**: an advisory append-only completion log (see
-//!   [`crate::manifest`]) driving `--resume` reporting.
+//!   [`crate::codec`]. The object directory is the store's only
+//!   record: lookups *probe* the filesystem, so any number of
+//!   processes can share one directory and the store self-heals —
+//!   deleting any object just makes that cell recompute.
 //! - **Single flight**: [`CacheStore::begin_flight`] registers a cold
 //!   cell as in flight; the first caller leads and computes while
 //!   later callers wait on the leader's slot and receive the
@@ -41,9 +40,9 @@
 
 use crate::codec::{decode_entry, encode_entry, CodecError, Entry};
 use crate::hash::CellKey;
-use crate::manifest::{unique_suffix, write_atomic, Manifest};
-use desc_telemetry::Snapshot;
+use desc_telemetry::{CacheReport, Snapshot};
 use std::collections::{BTreeMap, HashMap};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -303,7 +302,6 @@ pub struct CacheStore {
     hot: Mutex<HotTier>,
     inflight: Mutex<HashMap<CellKey, Arc<Flight>>>,
     single_flight: AtomicBool,
-    manifest: Option<Mutex<Manifest>>,
     stats: StatCells,
 }
 
@@ -329,7 +327,6 @@ impl CacheStore {
             hot: Mutex::new(HotTier::new(mem_budget_from_env())),
             inflight: Mutex::new(HashMap::new()),
             single_flight: AtomicBool::new(true),
-            manifest: None,
             stats: StatCells::default(),
         }
     }
@@ -353,10 +350,10 @@ impl CacheStore {
     ///
     /// # Errors
     ///
-    /// Fails when the directory cannot be created, written (probed
-    /// with an atomic write), or its manifest cannot be read — the
-    /// conditions `repro` maps to its cache exit code. A *damaged*
-    /// manifest is not an error (tolerant loader).
+    /// Fails when the directory cannot be created or written (probed
+    /// with an atomic write) — the conditions `repro` maps to its
+    /// cache exit code. Nothing else in the directory is read: a
+    /// `manifest` file left by an older binary is ignored.
     pub fn open(dir: impl Into<PathBuf>, version: u32) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(dir.join("objects"))?;
@@ -367,14 +364,12 @@ impl CacheStore {
         let probe = dir.join(format!(".probe.{}", unique_suffix()));
         write_atomic(&probe, b"desc-cache")?;
         std::fs::remove_file(&probe)?;
-        let manifest = Manifest::load(dir.join("manifest"))?;
         Ok(Self {
             dir: Some(dir),
             version,
             hot: Mutex::new(HotTier::new(mem_budget_from_env())),
             inflight: Mutex::new(HashMap::new()),
             single_flight: AtomicBool::new(true),
-            manifest: Some(Mutex::new(manifest)),
             stats: StatCells::default(),
         })
     }
@@ -473,10 +468,9 @@ impl CacheStore {
     }
 
     /// Stores a computed cell under `key` (hot map immediately; object
-    /// file atomically; manifest recorded last, so a manifest entry
-    /// implies its object was published). Write failures are counted,
-    /// never raised — a broken disk degrades the cache to memory-only
-    /// behavior rather than failing the run.
+    /// file atomically). Write failures are counted, never raised — a
+    /// broken disk degrades the cache to memory-only behavior rather
+    /// than failing the run.
     pub fn store(&self, key: &CellKey, payload: Vec<u8>, delta: Option<Snapshot>) {
         let _ = self.store_entry(key, payload, delta);
     }
@@ -496,16 +490,6 @@ impl CacheStore {
             .and_then(|()| write_atomic(&path, &bytes));
         if written.is_err() {
             self.bump(&self.stats.errors, "cache.errors");
-            return entry;
-        }
-        if let Some(manifest) = &self.manifest {
-            let recorded = manifest
-                .lock()
-                .expect("manifest poisoned")
-                .record(*key, self.version);
-            if recorded.is_err() {
-                self.bump(&self.stats.errors, "cache.errors");
-            }
         }
         entry
     }
@@ -613,23 +597,44 @@ impl CacheStore {
         }
     }
 
-    /// `(key, version)` entries in the manifest (0 for memory-only
-    /// stores).
+    /// The `cache` stanza of a run report: this store's directory,
+    /// schema version and counters.
     #[must_use]
-    pub fn manifest_cells(&self) -> u64 {
-        self.manifest
-            .as_ref()
-            .map(|m| m.lock().expect("manifest poisoned").len() as u64)
-            .unwrap_or(0)
+    pub fn report(&self) -> CacheReport {
+        let s = self.stats();
+        CacheReport {
+            dir: self.dir().map(|p| p.display().to_string()),
+            schema_version: u64::from(self.version),
+            hits_memory: s.hits_memory,
+            hits_disk: s.hits_disk,
+            misses: s.misses,
+            stores: s.stores,
+            version_mismatches: s.version_mismatches,
+            errors: s.errors,
+            evictions: s.evictions,
+            inflight_leads: s.inflight_leads,
+            inflight_waits: s.inflight_waits,
+            inflight_hits: s.inflight_hits,
+            inflight_handoffs: s.inflight_handoffs,
+        }
     }
 
-    /// Malformed manifest lines dropped at load (0 for memory-only).
+    /// Cell objects in the store of record: a count of the `*.cell`
+    /// files under `objects/`, so it sees every process's writes to a
+    /// shared directory (0 for memory-only stores). It walks the
+    /// directory on each call. The name is from the completion log the
+    /// object count replaced; it stays because `perfbench` calls it.
     #[must_use]
-    pub fn manifest_skipped(&self) -> u64 {
-        self.manifest
-            .as_ref()
-            .map(|m| m.lock().expect("manifest poisoned").skipped())
-            .unwrap_or(0)
+    pub fn manifest_cells(&self) -> u64 {
+        let Some(dir) = &self.dir else { return 0 };
+        let Ok(shards) = std::fs::read_dir(dir.join("objects")) else { return 0 };
+        let objects = shards
+            .flatten()
+            .filter_map(|shard| std::fs::read_dir(shard.path()).ok())
+            .flat_map(|files| files.flatten())
+            .filter(|f| f.path().extension().is_some_and(|ext| ext == "cell"))
+            .count();
+        objects as u64
     }
 
     fn bump(&self, cell: &AtomicU64, metric: &str) {
@@ -647,6 +652,41 @@ impl CacheStore {
             desc_telemetry::global().counter(metric).add(n);
         }
     }
+}
+
+/// A file-name suffix no other call in any live process returns: the
+/// process id plus a process-wide sequence number.
+fn unique_suffix() -> String {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    format!("{}.{}", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed))
+}
+
+/// Writes `bytes` to `path` atomically: temp file in the same
+/// directory (same filesystem, so the rename cannot cross devices),
+/// then rename over the target. A crash at any point leaves either
+/// the old file or the new one, never a torn mix. Each call writes
+/// its own temp file, so concurrent writers of one path all succeed
+/// and the last rename wins.
+///
+/// # Errors
+///
+/// Propagates create/write/rename failures; the temp file is removed
+/// on a failed rename.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let dir = path.parent().unwrap_or_else(|| Path::new("."));
+    let stem = path.file_name().and_then(|n| n.to_str()).unwrap_or("entry");
+    let tmp = dir.join(format!(".{stem}.tmp.{}", unique_suffix()));
+    let result = (|| {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        // Contents reach the disk before the rename publishes them.
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 #[cfg(test)]
@@ -696,6 +736,36 @@ mod tests {
         store.lookup(&key(7), false).unwrap();
         assert_eq!(store.stats().hits_memory, 1);
         assert_eq!(store.manifest_cells(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stores_sharing_a_directory_count_every_cell() {
+        let dir = tmp_dir("shared");
+        // Two stores on one directory, as `repro` and `serve` share one.
+        let a = CacheStore::open(&dir, 1).unwrap();
+        let b = CacheStore::open(&dir, 1).unwrap();
+        a.store(&key(1), vec![1], None);
+        b.store(&key(2), vec![2], None);
+        a.store(&key(3), vec![3], None);
+        b.store(&key(1), vec![1], None); // re-stored: still one cell
+        assert_eq!(CacheStore::open(&dir, 1).unwrap().manifest_cells(), 3);
+
+        // A torn temp object is not a cell, and a leftover (here
+        // garbage) `manifest` from an older binary is neither read nor
+        // deleted.
+        let shard = dir.join("objects").join("ab");
+        std::fs::create_dir_all(&shard).unwrap();
+        std::fs::write(shard.join(".x.cell.tmp.1.2"), b"torn").unwrap();
+        std::fs::write(dir.join("manifest"), b"not a manifest line\n").unwrap();
+        let reopened = CacheStore::open(&dir, 1).unwrap();
+        assert_eq!(reopened.manifest_cells(), 3);
+        assert_eq!(reopened.lookup(&key(2), false).unwrap().payload, vec![2]);
+        reopened.store(&key(4), vec![4], None);
+        assert_eq!(reopened.manifest_cells(), 4);
+        assert_eq!(std::fs::read(dir.join("manifest")).unwrap(), b"not a manifest line\n");
+
+        assert_eq!(CacheStore::in_memory(1).manifest_cells(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -901,6 +971,23 @@ mod tests {
         store.store(&key(34), vec![0u8; 40], None);
         assert!(store.lookup(&key(31), false).is_some(), "touched entry survives");
         assert!(store.lookup(&key(32), false).is_none(), "LRU entry evicted");
+    }
+
+    #[test]
+    fn atomic_write_leaves_no_temp_files() {
+        let dir = tmp_dir("atomic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("target");
+        write_atomic(&path, b"one").unwrap();
+        write_atomic(&path, b"two").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != "target")
+            .collect();
+        assert!(leftovers.is_empty(), "stray files: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -46,7 +46,7 @@ static STORE: Mutex<Option<Arc<CacheStore>>> = Mutex::new(None);
 
 /// Installs (or with `None`, removes) the process-wide cell store that
 /// [`crate::common::run_custom_keyed`] consults. `repro` installs one
-/// when `--cache-dir` is given without `--no-cache`.
+/// when `--cache-dir` is given.
 pub fn install(store: Option<Arc<CacheStore>>) {
     *STORE.lock().expect("cache store handle poisoned") = store;
 }

@@ -1,9 +1,10 @@
 //! End-to-end tests of the cell-result cache through the `repro`
 //! binary: warm reruns must be byte-identical to cold ones (CSV *and*
 //! report metrics) across process boundaries and `(jobs, shards)`
-//! shapes, interrupted runs must resume without recomputing
-//! manifested cells, and damaged or version-mismatched entries must
-//! degrade to recomputes with a warning — never a wrong figure.
+//! shapes, an interrupted run rerun on its directory must not
+//! recompute the cells it stored, and damaged or version-mismatched
+//! entries must degrade to recomputes with a warning — never a wrong
+//! figure.
 //!
 //! Each test runs the binary in fresh processes, so the warm-hit
 //! assertions double as the cross-process cache-key stability test:
@@ -37,6 +38,13 @@ fn cache_stanza(report_path: &Path) -> Json {
 
 fn cache_u64(stanza: &Json, field: &str) -> u64 {
     stanza.get(field).and_then(Json::as_u64).unwrap_or_else(|| panic!("cache.{field} missing"))
+}
+
+/// `.cell` objects in the store at `cache`.
+fn stored_cells(cache: &Path) -> u64 {
+    desc_cache::CacheStore::open(cache, desc_experiments::cache::CELL_SCHEMA_VERSION)
+        .expect("open store")
+        .manifest_cells()
 }
 
 /// Report metrics with the machine-shape stanzas (`pool.*`, `cache.*`)
@@ -75,6 +83,7 @@ fn warm_rerun_in_a_new_process_is_byte_identical_and_fully_served_from_cache() {
     let cold_stats = cache_stanza(&cold_report);
     assert!(cache_u64(&cold_stats, "stores") > 0, "cold run stored nothing: {cold_stats:?}");
     assert_eq!(cache_u64(&cold_stats, "hits_disk"), 0, "cold run hit the disk tier");
+    let cold_cells = stored_cells(&cache);
 
     // New process, different pool shape: every cell must be a hit and
     // every output byte must match.
@@ -93,11 +102,7 @@ fn warm_rerun_in_a_new_process_is_byte_identical_and_fully_served_from_cache() {
     assert_eq!(cache_u64(&warm_stats, "misses"), 0, "warm run recomputed: {warm_stats:?}");
     assert_eq!(cache_u64(&warm_stats, "stores"), 0, "warm run re-stored: {warm_stats:?}");
     assert!(cache_u64(&warm_stats, "hits_disk") > 0, "warm run never probed disk");
-    assert_eq!(
-        cache_u64(&cold_stats, "manifest_cells"),
-        cache_u64(&warm_stats, "manifest_cells"),
-        "warm run changed the manifest"
-    );
+    assert_eq!(cold_cells, stored_cells(&cache), "warm run changed the stored cells");
     // Replayed metric deltas make the warm report metric-identical.
     assert_eq!(
         deterministic_metrics(&cold_report),
@@ -123,8 +128,8 @@ fn warm_rerun_in_a_new_process_is_byte_identical_and_fully_served_from_cache() {
 }
 
 #[test]
-fn killed_run_resumes_without_recomputing_manifested_cells() {
-    let dir = temp_dir("resume");
+fn killed_run_reruns_without_recomputing_stored_cells() {
+    let dir = temp_dir("rerun");
     let cache = dir.join("cells");
     let cache_arg = cache.to_str().expect("utf-8 path");
 
@@ -133,9 +138,9 @@ fn killed_run_resumes_without_recomputing_manifested_cells() {
     assert!(reference.status.success());
 
     // Start the same selection cold and kill it mid-run. Whatever was
-    // manifested before the kill is the "completed" set; atomic object
-    // and manifest writes guarantee the kill cannot poison it. The
-    // killed run reports too: a telemetry-enabled resume only accepts
+    // stored before the kill is the "completed" set; atomic object
+    // writes guarantee the kill cannot poison it. The killed run
+    // reports too: a telemetry-enabled rerun only accepts
     // delta-bearing entries, so the cold run must store them that way.
     let killed_report = dir.join("killed.json");
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -153,35 +158,30 @@ fn killed_run_resumes_without_recomputing_manifested_cells() {
 
     // A killed atomic write may leave a stray temp file; one more,
     // planted by hand, must be ignored as well.
-    std::fs::write(cache.join(".manifest.tmp.99999"), b"torn half-write").ok();
-    let manifested_before = std::fs::read_to_string(cache.join("manifest"))
-        .map(|text| text.lines().count() as u64)
-        .unwrap_or(0);
+    let shard = cache.join("objects").join("ab");
+    std::fs::create_dir_all(&shard).expect("create shard dir");
+    std::fs::write(shard.join(".ab.cell.tmp.99999.0"), b"torn half-write").expect("plant temp");
+    let before = stored_cells(&cache);
 
-    let resume_report = dir.join("resume.json");
-    let resumed = repro(&[
-        "--tiny", "--csv", "--quiet", "--cache-dir", cache_arg, "--resume", "--report",
-        resume_report.to_str().expect("utf-8 path"), "fig16", "fig22",
+    let rerun_report = dir.join("rerun.json");
+    let rerun = repro(&[
+        "--tiny", "--csv", "--quiet", "--cache-dir", cache_arg, "--report",
+        rerun_report.to_str().expect("utf-8 path"), "fig16", "fig22",
     ]);
-    assert!(resumed.status.success(), "resume run failed: {resumed:?}");
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(stderr.contains("resuming from"), "no resume banner: {stderr:?}");
-    assert_eq!(reference.stdout, resumed.stdout, "resumed CSV diverged from uncached reference");
+    assert!(rerun.status.success(), "rerun failed: {rerun:?}");
+    assert_eq!(reference.stdout, rerun.stdout, "rerun CSV diverged from uncached reference");
 
-    let stats = cache_stanza(&resume_report);
-    assert!(stats.get("resumed").is_some_and(|r| matches!(r, Json::Bool(true))));
-    // Every cell banked before the kill was served, not recomputed:
-    // the resume run only stores the remainder. (`<=` rather than
-    // `==`: a kill between an object write and its manifest record
-    // leaves an extra on-disk cell that hits without re-storing.)
-    let total = cache_u64(&stats, "manifest_cells");
+    // Every cell stored before the kill was served, not recomputed:
+    // the rerun only stores the remainder.
+    let stats = cache_stanza(&rerun_report);
+    let after = stored_cells(&cache);
     assert!(
-        cache_u64(&stats, "stores") <= total - manifested_before,
-        "resume recomputed manifested cells (manifested {manifested_before} of {total}): {stats:?}"
+        cache_u64(&stats, "stores") <= after - before,
+        "rerun recomputed stored cells ({before} stored before, {after} after): {stats:?}"
     );
     assert!(
-        cache_u64(&stats, "hits_disk") >= manifested_before,
-        "manifested cells were not all served from disk: {stats:?}"
+        cache_u64(&stats, "hits_disk") >= before,
+        "stored cells were not all served from disk: {stats:?}"
     );
 
     std::fs::remove_dir_all(&dir).ok();

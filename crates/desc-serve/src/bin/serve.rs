@@ -31,8 +31,7 @@ use std::process::ExitCode;
 const EXIT_USAGE: u8 = 2;
 /// The `--report` file could not be written at shutdown.
 const EXIT_WRITE_FAILED: u8 = 4;
-/// `--cache-dir` could not be opened (created, probed writable, or
-/// its manifest read).
+/// `--cache-dir` could not be opened (created or probed writable).
 const EXIT_CACHE: u8 = 5;
 /// The listen address could not be bound.
 const EXIT_BIND: u8 = 6;
@@ -127,18 +126,7 @@ fn main() -> ExitCode {
             Ok(store) => {
                 let store = std::sync::Arc::new(store);
                 desc_experiments::cache::install(Some(std::sync::Arc::clone(&store)));
-                if store.manifest_skipped() > 0 {
-                    eprintln!(
-                        "serve: warning: dropped {} malformed manifest line(s) in {}",
-                        store.manifest_skipped(),
-                        dir.display()
-                    );
-                }
-                eprintln!(
-                    "serve: sharing cell store {} ({} completed cell(s) in the manifest)",
-                    dir.display(),
-                    store.manifest_cells()
-                );
+                eprintln!("serve: sharing cell store {}", dir.display());
             }
             Err(e) => {
                 eprintln!("serve: unusable cache dir {}: {e}", dir.display());
@@ -171,26 +159,7 @@ fn main() -> ExitCode {
     eprintln!("serve: drained; shutting down");
 
     if let Some(path) = &report_path {
-        let cache = desc_experiments::cache::active().map(|store| {
-            let s = store.stats();
-            desc_telemetry::CacheReport {
-                dir: store.dir().map(|p| p.display().to_string()),
-                schema_version: u64::from(store.version()),
-                hits_memory: s.hits_memory,
-                hits_disk: s.hits_disk,
-                misses: s.misses,
-                stores: s.stores,
-                version_mismatches: s.version_mismatches,
-                errors: s.errors,
-                evictions: s.evictions,
-                inflight_leads: s.inflight_leads,
-                inflight_waits: s.inflight_waits,
-                inflight_hits: s.inflight_hits,
-                inflight_handoffs: s.inflight_handoffs,
-                manifest_cells: store.manifest_cells(),
-                resumed: false,
-            }
-        });
+        let cache = desc_experiments::cache::active().map(|store| store.report());
         let report = desc_telemetry::Report {
             meta: desc_telemetry::ReportMeta {
                 tool: "serve".to_owned(),

@@ -193,15 +193,12 @@ fn concurrent_clients_match_repro_metrics_and_share_the_cache() {
     assert_eq!(stanza.completed, 5);
 
     // Drained, not lost: every completed cell survived to the store
-    // of record and a fresh process can resume from it.
+    // of record and a fresh process can serve them.
     desc_experiments::cache::install(None);
     let reopened =
         desc_cache::CacheStore::open(&dir, desc_experiments::cache::CELL_SCHEMA_VERSION)
             .expect("reopen store after drain");
-    assert!(
-        reopened.manifest_cells() > 0,
-        "completed cells must survive shutdown in the manifest"
-    );
+    assert!(reopened.manifest_cells() > 0, "completed cells must survive shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

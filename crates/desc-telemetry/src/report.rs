@@ -14,8 +14,8 @@
 //! - `pool_utilization` — optional executor accounting: per-worker
 //!   busy time and per-region queue-wait/run aggregates (present when
 //!   the producer supplies a [`PoolUtilization`]).
-//! - `cache` — optional cell-cache accounting: hit/miss/store counts
-//!   and manifest size (present when the producer supplies a
+//! - `cache` — optional cell-cache accounting: hit/miss/store and
+//!   single-flight counts (present when the producer supplies a
 //!   [`CacheReport`]).
 //! - `serve` — optional sweep-service accounting: accepted/rejected/
 //!   timed-out/active request counts (present when the producer is a
@@ -171,8 +171,8 @@ fn sparse_to_json(buckets: &[(usize, u64)]) -> Json {
 }
 
 /// Cell-cache accounting for the `cache` stanza: where this run's
-/// cells came from. Produced by `repro` from the `desc-cache` store's
-/// counters (desc-telemetry deliberately does not depend on
+/// cells came from. Built by `desc-cache`'s `CacheStore::report` from
+/// the store's counters (desc-telemetry deliberately does not depend on
 /// desc-cache, mirroring how [`PoolUtilization`] is filled by
 /// `desc-exec`). All values are deterministic for a given store state,
 /// but naturally differ between cold and warm runs — determinism
@@ -214,10 +214,6 @@ pub struct CacheReport {
     /// Waits that ended with the leader abandoning the cell (panic or
     /// cancellation); a waiting follower took over leadership.
     pub inflight_handoffs: u64,
-    /// Keys recorded in the on-disk manifest after the run.
-    pub manifest_cells: u64,
-    /// True when the run was started with `--resume`.
-    pub resumed: bool,
 }
 
 impl CacheReport {
@@ -240,8 +236,6 @@ impl CacheReport {
             .with("inflight_waits", Json::UInt(self.inflight_waits))
             .with("inflight_hits", Json::UInt(self.inflight_hits))
             .with("inflight_handoffs", Json::UInt(self.inflight_handoffs))
-            .with("manifest_cells", Json::UInt(self.manifest_cells))
-            .with("resumed", Json::Bool(self.resumed))
     }
 }
 
@@ -487,8 +481,6 @@ mod tests {
                 inflight_waits: 2,
                 inflight_hits: 2,
                 inflight_handoffs: 0,
-                manifest_cells: 7,
-                resumed: true,
             }),
             serve: Some(ServeReport {
                 addr: "127.0.0.1:7013".to_owned(),
@@ -536,8 +528,6 @@ mod tests {
         assert_eq!(back.get("meta").and_then(|m| m.get("spans_dropped")).and_then(Json::as_u64), Some(0));
         let cache = back.get("cache").expect("cache stanza present");
         assert_eq!(cache.get("hits_disk").and_then(Json::as_u64), Some(3));
-        assert_eq!(cache.get("manifest_cells").and_then(Json::as_u64), Some(7));
-        assert_eq!(cache.get("resumed"), Some(&Json::Bool(true)));
         let serve = back.get("serve").expect("serve stanza present");
         assert_eq!(serve.get("accepted").and_then(Json::as_u64), Some(4));
         assert_eq!(serve.get("rejected_busy").and_then(Json::as_u64), Some(1));

@@ -160,8 +160,6 @@ fn schema_document_matches_emitted_report() {
             inflight_waits: 1,
             inflight_hits: 1,
             inflight_handoffs: 0,
-            manifest_cells: 4,
-            resumed: false,
         }),
         serve: Some(ServeReport {
             addr: "127.0.0.1:7013".to_owned(),
