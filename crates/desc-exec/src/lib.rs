@@ -140,8 +140,8 @@ pub struct PoolStats {
     pub cap_rejections: u64,
 }
 
-/// Per-label timing aggregation for one region family (`"cells"`,
-/// `"parts"`, …). Standalone [`Histogram`]s, *not* registry metrics —
+/// Per-label timing aggregation for one region family (`"cells"` for
+/// sweep cells, `"parts"` for bank partitions). Standalone [`Histogram`]s, *not* registry metrics —
 /// wall-clock queue waits differ run to run, and the registry must
 /// stay byte-identical across pool shapes.
 #[derive(Default)]
@@ -1052,7 +1052,7 @@ where
 /// becomes a `region` span on the submitting thread and keys the
 /// per-label queue-wait / run-time distributions that [`utilization`]
 /// reports (the DESC layers use `"cells"` for sweep cells and
-/// `"parts"`/`"parts_mut"` for bank partitions). Labels are `'static`
+/// `"parts"` for bank partitions). Labels are `'static`
 /// so the hot path never hashes or allocates for attribution.
 ///
 /// If any task panics, remaining unclaimed tasks are cancelled and the

@@ -55,9 +55,9 @@ fn telemetry_is_invisible_in_outputs_and_deterministic_in_counters() {
     assert_eq!(first.metrics, fanned.metrics, "counters diverged under --jobs 4");
     // The sweep landed on the execution timeline: per-cell spans named
     // scheme/app, a "cells" executor region, per-bank "partition"
-    // spans from the sharded simulations inside "parts"/"parts_mut"
-    // regions — every one carrying the process-wide context. Drain so
-    // later tests start clean.
+    // spans from the sharded simulations inside "parts" regions —
+    // every one carrying the process-wide context. Drain so later
+    // tests start clean.
     let spans = desc_telemetry::drain_spans();
     let cells: Vec<_> = spans.iter().filter(|s| s.name == "cell").collect();
     assert!(!cells.is_empty(), "parallel sweep recorded no per-cell spans");
@@ -74,7 +74,7 @@ fn telemetry_is_invisible_in_outputs_and_deterministic_in_counters() {
         spans.iter().filter(|s| s.name == "region").map(|s| s.label.as_str()).collect();
     assert!(region_labels.contains("cells"), "no cells region span: {region_labels:?}");
     assert!(
-        region_labels.contains("parts") || region_labels.contains("parts_mut"),
+        region_labels.contains("parts"),
         "sharded cells recorded no partition regions: {region_labels:?}"
     );
     assert!(

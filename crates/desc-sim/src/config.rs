@@ -82,9 +82,9 @@ pub struct SimConfig {
     /// The simulation always decomposes a cell by home bank and merges
     /// per-bank results with a deterministic, order-independent
     /// reduction, so every result is **bit-identical for any value** —
-    /// this knob only controls how many OS threads carry the bank
-    /// partitions. 1 (the default) runs them serially on the calling
-    /// thread.
+    /// this knob only caps how many bank partitions run at once on the
+    /// shared `desc-exec` pool. 1 (the default) runs them serially on
+    /// the calling thread.
     pub shards: usize,
     /// Epoch length in cycles for the epoch-barrier reduction of
     /// cross-bank DRAM traffic: bank partitions advance independently

@@ -8,34 +8,33 @@
 //!
 //! # Bank-sharded execution
 //!
-//! The S-NUCA organisation is the ideal case for the bank-sharded
-//! decomposition used by [`crate::system::SystemSim`], because the
+//! The cell splits into bank partitions through the skeleton it shares
+//! with [`crate::system::SystemSim`] (`shard.rs`, DESIGN.md §10). The
 //! serial model *already* gives every bank a private channel (its own
-//! [`TransferScheme`] replica) and a private value stream: there is no
-//! shared wire state to replicate, so the per-bank decomposition is
-//! exact by construction. One simulation cell always decomposes into
-//! one partition per bank — each owning the bank's directory slice
-//! ([`crate::cache::SetAssocCache::bank_slice`]), channel replica
-//! ([`TransferScheme::clone_box`]), value stream
-//! (`mix_seed(seed, bank)`), and port schedule — and the partitions run
-//! serially or on up to [`crate::config::SimConfig::shards`] worker
-//! threads. The only cross-bank coupling, DRAM channel contention, is
-//! reconciled at a deterministic epoch barrier: partitions emit miss
-//! requests with issue timestamps, and the requests are replayed
-//! through one shared [`Dram`] ordered by
-//! `(issue / dram_epoch_cycles, program index)`. Results are therefore
-//! **bit-identical for any shard count**.
+//! [`TransferScheme`] replica) and a private value stream, so there is
+//! no shared wire state to replicate and the decomposition is exact by
+//! construction. Partition `p` owns the banks `b ≡ p (mod parts)`:
+//! their directory slice, channel replicas, value streams and port
+//! schedules — exactly bank `p` for the paper's 128-bank / 8192-set
+//! L2, all banks when the set count is below the bank count. The only
+//! cross-bank coupling, DRAM channel contention, is reconciled at the
+//! epoch barrier, whose completions add `completion − arrival` to the
+//! latency sum. Results are therefore **bit-identical for any shard
+//! count**.
+//!
+//! What is particular to this organisation: per-bank wire latency and
+//! energy, bank timing scheduled inside the functional pass, and a
+//! single timing pass at the base arrival rate.
 
-use crate::bank::{home_bank, BankScheduler};
-use crate::batch::{ChannelBatch, FLUSH_CAP};
-use crate::cache::{CacheOutcome, SetAssocCache};
+use crate::bank::BankScheduler;
+use crate::batch::FLUSH_CAP;
+use crate::cache::CacheOutcome;
 use crate::config::SimConfig;
-use crate::dram::Dram;
-use crate::shard::run_parts;
+use crate::shard::{replay_dram, Cell, Channel, MissEvent};
 use desc_cacti::snuca::SnucaModel;
+use desc_cacti::CacheModel;
 use desc_core::TransferScheme;
 use desc_workloads::{Access, BenchmarkProfile};
-use std::sync::Mutex;
 
 /// Result of an S-NUCA-1 run.
 #[derive(Clone, Debug)]
@@ -70,10 +69,13 @@ impl SnucaResult {
 /// UCA's 1 MB banks — a fixed 3-cycle array access.
 const ARRAY_CYCLES: u64 = 3;
 
-/// One bank partition's output. Every field merges
+/// One bank partition: the channel replicas it takes on entry (one
+/// per owned bank), then its output. Every output field merges
 /// order-independently (sums, maxima, histogram absorbs), so the
 /// reduction over partitions is deterministic for any shard count.
+#[derive(Default)]
 struct PartitionOut {
+    replicas: Vec<Box<dyn TransferScheme>>,
     wire_energy_j: f64,
     array_energy_j: f64,
     hits: u64,
@@ -84,8 +86,9 @@ struct PartitionOut {
     latency_sum: u64,
     horizon: u64,
     transitions: u64,
-    /// Miss requests for the shared DRAM, exchanged at the barrier.
-    events: Vec<MissEvent>,
+    /// Miss requests for the shared DRAM, carrying their requester's
+    /// arrival cycle.
+    events: Vec<MissEvent<u64>>,
     hit_latency_hist: desc_telemetry::LocalHistogram,
 }
 
@@ -100,18 +103,6 @@ struct PendingAccess {
     bank: usize,
     miss: bool,
     writeback: bool,
-}
-
-/// A cross-bank DRAM request exchanged at the epoch barrier.
-struct MissEvent {
-    /// Global program-order index — the within-epoch order.
-    idx: u64,
-    addr: u64,
-    /// Cycle the request reaches DRAM (bank start + array + wire).
-    issue: u64,
-    /// Requester arrival time, subtracted from the DRAM completion to
-    /// yield the access's memory latency share.
-    arrival: u64,
 }
 
 /// A configured S-NUCA-1 simulation.
@@ -138,10 +129,9 @@ impl SnucaSim {
     /// `scheme` supplies the configuration — each of the 128 bank
     /// channels gets its own power-on replica via
     /// [`TransferScheme::clone_box`], because S-NUCA channels have
-    /// independent wire state. The cell always decomposes into one
-    /// partition per bank, executed on up to
-    /// [`SimConfig::shards`] worker threads (see the module docs);
-    /// the result is bit-identical for any shard count.
+    /// independent wire state. The bank partitions run on up to
+    /// [`SimConfig::shards`] pool threads (see the module docs); the
+    /// result is bit-identical for any shard count.
     ///
     /// # Examples
     ///
@@ -162,130 +152,45 @@ impl SnucaSim {
     ///
     /// Panics if `accesses` is zero.
     pub fn run(&self, scheme: Box<dyn TransferScheme>, accesses: usize) -> SnucaResult {
-        assert!(accesses > 0, "simulate at least one access");
         let cfg = &self.config;
         let model = SnucaModel::paper_default();
-        let banks_n = model.banks();
+        let cell = Cell::new(cfg, model.banks(), &self.profile, self.seed, accesses);
+        let (banks, parts, base_cpa) = (cell.banks, cell.parts, cell.base_cpa);
         let is_desc = scheme.name().contains("DESC");
         let iface = if is_desc { cfg.desc_interface_cycles } else { 0 };
-        let block_bytes = cfg.l2.block_bytes as u64;
-        let cache_model = desc_cacti::CacheModel::new(cfg.l2);
-
-        // One partition per bank whenever the geometry decomposes
-        // (power-of-two bank count no larger than the set count — the
-        // paper's 128-bank / 8192-set configuration always does);
-        // otherwise a single partition simulates all banks. Either
-        // way the partition count is fixed by the configuration, never
-        // by `shards`, so results are shard-count invariant.
-        let capacity_blocks = cfg.l2.capacity_bytes / cfg.l2.block_bytes;
-        let set_count = capacity_blocks / cfg.l2.associativity;
-        let parts = if banks_n.is_power_of_two() && banks_n <= set_count { banks_n } else { 1 };
-        let threads = cfg.shards.max(1);
-
-        // The trace is generated once (one sequential RNG stream) and
-        // bucketed by owning partition *during* generation: with 128
-        // bank partitions, the old shared-trace-plus-`owns()`-filter
-        // approach re-scanned the full trace 128 times per cell, which
-        // dominated S-NUCA wall-clock. Warmup (directory only — no
-        // transfers, no energy) brings the directory to steady state.
-        let warmup = (2 * capacity_blocks).max(accesses);
-        assert!(accesses < u32::MAX as usize, "measured window exceeds u32 program indices");
-        let mut trace_gen = self.profile.trace(self.seed);
-        let mut warm_parts: Vec<Vec<Access>> =
-            (0..parts).map(|_| Vec::with_capacity(warmup / parts + warmup / 16 + 8)).collect();
-        let mut meas_parts: Vec<Vec<(u32, Access)>> =
-            (0..parts).map(|_| Vec::with_capacity(accesses / parts + accesses / 16 + 8)).collect();
-        for i in 0..warmup + accesses {
-            let a = trace_gen.next_access();
-            let p = home_bank(a.addr, block_bytes, banks_n) % parts;
-            if i < warmup {
-                warm_parts[p].push(a);
-            } else {
-                meas_parts[p].push(((i - warmup) as u32, a));
-            }
-        }
-
-        // One channel replica per bank, cloned up front on this thread
-        // (`clone_box` borrows the template); each partition takes its
-        // owned banks' replicas.
-        let replicas: Vec<Mutex<Option<Box<dyn TransferScheme>>>> = (0..banks_n)
-            .map(|_| {
-                let mut replica = scheme.clone_box();
-                replica.reset();
-                Mutex::new(Some(replica))
-            })
-            .collect();
-
+        let cache_model = CacheModel::new(cfg.l2);
         let telemetry = desc_telemetry::enabled();
 
-        let apki = self.profile.l2_apki;
-        let cores = self.profile.cores as f64;
-        let base_cpa = 1000.0 / (apki * cores * self.profile.base_ipc);
-
         // ---- Per-bank phase: directory, transfers, bank timing. -----
-        // Partition `p` owns banks `b` with `b % parts == p` (exactly
-        // bank `p` in the decomposed case): its directory slice, the
-        // banks' channel replicas and value streams, and the banks'
-        // port schedules. Partitions share no mutable state; the merge
-        // below is a deterministic reduction in fixed bank order.
-        let outs: Vec<PartitionOut> = run_parts(parts, threads, |p| {
-            let mut l2 = SetAssocCache::bank_slice(
-                cfg.l2.capacity_bytes,
-                cfg.l2.block_bytes,
-                cfg.l2.associativity,
-                parts,
-                p,
-            );
-            // Owned bank `b` lives at index `b / parts` (b ≡ p mod parts).
-            let mut channels: Vec<(Box<dyn TransferScheme>, desc_workloads::ValueStream)> =
-                (p..banks_n)
-                    .step_by(parts)
-                    .map(|b| {
-                        let replica = replicas[b]
-                            .lock()
-                            .expect("replica mutex poisoned")
-                            .take()
-                            .expect("each bank's replica is taken once");
-                        (replica, self.profile.value_stream_for_bank(self.seed, b))
-                    })
-                    .collect();
-            let mut sched = BankScheduler::new(banks_n);
-
-            for &Access { addr, write, core } in &warm_parts[p] {
-                let _ = l2.access(addr, write, core);
-            }
-
-            let mut out = PartitionOut {
-                wire_energy_j: 0.0,
-                array_energy_j: 0.0,
-                hits: 0,
-                misses: 0,
-                hit_latency_sum: 0,
-                latency_sum: 0,
-                horizon: 0,
-                transitions: 0,
-                events: Vec::new(),
-                hit_latency_hist: desc_telemetry::LocalHistogram::new(),
-            };
+        // Partitions share no mutable state; the merge below is a
+        // deterministic reduction in fixed bank order.
+        let mut outs: Vec<PartitionOut> = (0..parts)
+            .map(|_| PartitionOut {
+                replicas: Cell::replicas(scheme.as_ref(), banks / parts),
+                ..PartitionOut::default()
+            })
+            .collect();
+        cell.run(&mut outs, |p, out| {
+            let (mut l2, accesses) = cell.boot(p);
+            // Owned bank `b` is channel `b / parts` (b ≡ p mod parts).
+            let mut channels = cell.channels(p, std::mem::take(&mut out.replicas));
+            let mut sched = BankScheduler::new(banks);
             // Transfers are batched per channel; the queued accesses
             // replay in program order at drain time, so the f64 energy
             // accumulation order — and with it every result bit — is
             // identical to the per-access scalar loop.
-            let mut batches: Vec<ChannelBatch> =
-                (0..channels.len()).map(|_| ChannelBatch::new(cfg.l2.block_bytes)).collect();
             let mut pending: Vec<PendingAccess> = Vec::with_capacity(FLUSH_CAP);
 
-            let drain = |channels: &mut [(Box<dyn TransferScheme>, desc_workloads::ValueStream)],
-                         batches: &mut [ChannelBatch],
+            let drain = |channels: &mut [Channel],
                          pending: &mut Vec<PendingAccess>,
                          sched: &mut BankScheduler,
                          out: &mut PartitionOut| {
                 if pending.is_empty() {
                     return;
                 }
-                for (ch, batch) in batches.iter_mut().enumerate() {
-                    if batch.queued() > 0 {
-                        batch.encode(channels[ch].0.as_mut());
+                for ch in channels.iter_mut() {
+                    if ch.batch.queued() > 0 {
+                        ch.encode();
                     }
                 }
                 for pa in pending.drain(..) {
@@ -298,8 +203,8 @@ impl SnucaSim {
                     // the effective window (Fig. 21) makes the
                     // requester-visible latency shorter than the
                     // port-occupancy window.
-                    let take = |out: &mut PartitionOut, batch: &mut ChannelBatch| -> (u64, u64) {
-                        let cost = batch.next_cost();
+                    let take = |out: &mut PartitionOut, ch: &mut Channel| -> (u64, u64) {
+                        let cost = ch.batch.next_cost();
                         let transitions = cost.total_transitions();
                         out.transitions += transitions;
                         out.wire_energy_j +=
@@ -307,14 +212,14 @@ impl SnucaSim {
                         (cost.cycles, cost.latency())
                     };
 
-                    let batch = &mut batches[bank / parts];
+                    let ch = &mut channels[bank / parts];
                     if pa.miss {
                         out.misses += 1;
-                        let (fill, fill_lat) = take(out, batch);
+                        let (fill, fill_lat) = take(out, ch);
                         out.array_energy_j += cache_model.array_write_energy();
                         let mut service = ARRAY_CYCLES + fill;
                         if pa.writeback {
-                            service += take(out, batch).0;
+                            service += take(out, ch).0;
                             out.array_energy_j += cache_model.array_read_energy();
                         }
                         let (start, queue) = sched.schedule(bank, arrival, service);
@@ -322,14 +227,14 @@ impl SnucaSim {
                             idx: u64::from(pa.idx),
                             addr: pa.addr,
                             issue: start + ARRAY_CYCLES + wire_lat,
-                            arrival,
+                            route: arrival,
                         });
                         // The DRAM share (completion − arrival) is
                         // added at the epoch barrier below.
                         out.latency_sum += queue + fill_lat + iface;
                     } else {
                         out.hits += 1;
-                        let (cycles, lat) = take(out, batch);
+                        let (cycles, lat) = take(out, ch);
                         out.array_energy_j += cache_model.array_read_energy();
                         let latency = ARRAY_CYCLES + wire_lat + lat + iface;
                         out.hit_latency_sum += latency;
@@ -343,54 +248,36 @@ impl SnucaSim {
             };
 
             let mut queued_blocks = 0usize;
-            for &(i, Access { addr, write, core }) in &meas_parts[p] {
-                let bank = home_bank(addr, block_bytes, banks_n);
-                // Queue the access's block(s) — the stream's scratch
-                // block is copied into the slab, so the draw order and
-                // bytes are identical to per-access transfers.
+            for &(i, Access { addr, write, core }) in accesses {
+                let bank = cell.bank(addr);
                 let (miss, writeback) = match l2.access(addr, write, core) {
                     CacheOutcome::Hit => (false, false),
                     CacheOutcome::Miss { writeback } => (true, writeback),
                 };
-                let (_, values) = &mut channels[bank / parts];
-                let batch = &mut batches[bank / parts];
-                batch.push(values.next_block_ref());
+                let ch = &mut channels[bank / parts];
+                ch.queue_next();
                 queued_blocks += 1;
                 if miss && writeback {
-                    batch.push(values.next_block_ref());
+                    ch.queue_next();
                     queued_blocks += 1;
                 }
                 pending.push(PendingAccess { idx: i, addr, bank, miss, writeback });
                 if queued_blocks >= FLUSH_CAP {
-                    drain(&mut channels, &mut batches, &mut pending, &mut sched, &mut out);
+                    drain(&mut channels, &mut pending, &mut sched, out);
                     queued_blocks = 0;
                 }
             }
-            drain(&mut channels, &mut batches, &mut pending, &mut sched, &mut out);
+            drain(&mut channels, &mut pending, &mut sched, out);
             out.horizon = sched.horizon();
-            out
         });
 
         // ---- Epoch barrier: shared DRAM replay. ---------------------
-        // Cross-bank DRAM channel contention is the one coupling the
-        // partitions cannot resolve alone. Requests are ordered by
-        // (issue epoch, program order) — a pure function of the
-        // per-partition outputs, hence identical for any shard count —
-        // and replayed through one shared DRAM.
-        let epoch_cycles = cfg.dram_epoch_cycles.max(1);
-        let mut events: Vec<MissEvent> = Vec::new();
-        let mut outs = outs;
+        let mut events = Vec::new();
         for out in &mut outs {
             events.append(&mut out.events);
         }
-        events.sort_unstable_by_key(|e| (e.issue / epoch_cycles, e.idx));
-        let mut dram =
-            Dram::new(cfg.dram_channels, cfg.dram_latency_cycles, cfg.dram_occupancy_cycles);
         let mut dram_latency_sum = 0u64;
-        for e in &events {
-            let done = dram.access(e.addr, e.issue);
-            dram_latency_sum += done - e.arrival;
-        }
+        let dram = replay_dram(cfg, &mut events, |e, done| dram_latency_sum += done - e.route);
 
         // ---- Deterministic merge, fixed bank order. -----------------
         let mut wire_energy_j = 0.0f64;
@@ -414,9 +301,7 @@ impl SnucaSim {
             hit_latency_hist.absorb(&out.hit_latency_hist);
         }
 
-        let base_cycles = (accesses as f64 * base_cpa).ceil() as u64;
-        let stall = (latency_sum as f64 * cfg.core.exposure() / cores) as u64;
-        let exec_cycles = (base_cycles + stall).max(horizon);
+        let exec_cycles = cell.exec_cycles(latency_sum, horizon);
         let exec_time_s = exec_cycles as f64 * cfg.l2.tech.cycle_s();
         let static_energy_j = cache_model.leakage_power() * exec_time_s;
 
@@ -427,8 +312,7 @@ impl SnucaSim {
             desc_telemetry::counter!("sim.snuca.wire_transitions").add(transitions);
             desc_telemetry::counter!("sim.snuca.dram.accesses").add(dram.accesses());
             desc_telemetry::counter!("sim.snuca.dram.row_hits").add(dram.row_hits());
-            hit_latency_hist
-                .flush_into(desc_telemetry::histogram!("sim.snuca.hit_latency_cycles"));
+            hit_latency_hist.flush_into(desc_telemetry::histogram!("sim.snuca.hit_latency_cycles"));
             desc_telemetry::counter!("sim.snuca.runs").incr();
         }
 
@@ -514,24 +398,29 @@ mod tests {
 
     #[test]
     fn shard_count_never_changes_results() {
-        // The decomposition unit is the bank — all 128 of them, fixed
-        // by the S-NUCA configuration — and `shards` only picks the
-        // worker-thread count, so results must be bit-identical for
-        // any shard count, including with a stateful last-value
-        // scheme whose wire state evolves per channel.
+        // The partition count is fixed by the configuration and
+        // `shards` only caps partitions in flight, so results must be
+        // bit-identical for any shard count, including with a stateful
+        // last-value scheme whose wire state evolves per channel. The
+        // 8 MB L2 splits into all 128 bank partitions; the 64 KB 16-way
+        // L2 has 64 sets for 128 banks, so it runs as one partition
+        // that owns every bank channel.
         desc_exec::configure(4);
-        for (kind, seed) in [
-            (SchemeKind::ZeroSkippedDesc, 2013u64),
-            (SchemeKind::LastValueSkippedDesc, 99),
+        for (capacity_bytes, kind, seed) in [
+            (8 << 20, SchemeKind::ZeroSkippedDesc, 2013u64),
+            (8 << 20, SchemeKind::LastValueSkippedDesc, 99),
+            (64 << 10, SchemeKind::LastValueSkippedDesc, 7),
         ] {
             let serial = {
                 let mut cfg = SimConfig::paper_multithreaded();
+                cfg.l2.capacity_bytes = capacity_bytes;
                 cfg.shards = 1;
                 SnucaSim::new(cfg, BenchmarkId::Ocean.profile(), seed)
                     .run(kind.build_paper_config(), 5_000)
             };
             for shards in [2, 8, 32] {
                 let mut cfg = SimConfig::paper_multithreaded();
+                cfg.l2.capacity_bytes = capacity_bytes;
                 cfg.shards = shards;
                 let sharded = SnucaSim::new(cfg, BenchmarkId::Ocean.profile(), seed)
                     .run(kind.build_paper_config(), 5_000);

@@ -3,33 +3,34 @@
 //!
 //! # Bank-sharded execution
 //!
-//! One simulation cell decomposes by L2 home bank: each bank owns a
-//! disjoint slice of the cache's sets ([`SetAssocCache::bank_slice`]),
-//! its own transfer channel (a [`TransferScheme::clone_box`] replica —
-//! wire state is per-channel, as in the S-NUCA model), its own address
-//! bus, and a value stream derived from `(seed, bank)`. Bank partitions
-//! are therefore simulated independently — serially or on worker
-//! threads ([`SimConfig::shards`]) — and merged with a deterministic,
-//! order-independent reduction (sums, maxima, and histogram merges in
-//! fixed bank order), so **results are bit-identical for any shard
-//! count**. Cross-bank DRAM channel contention is reintroduced at an
-//! epoch barrier: partitions emit their miss requests with issue
-//! timestamps, and the requests are replayed through one shared DRAM
-//! model ordered by `(issue_epoch, program_order)`
-//! ([`SimConfig::dram_epoch_cycles`]).
+//! The cell splits into L2 bank partitions through the skeleton it
+//! shares with [`crate::snuca::SnucaSim`] (`shard.rs`, DESIGN.md §10):
+//! each partition owns a disjoint slice of the cache's sets
+//! ([`crate::cache::SetAssocCache::bank_slice`]), one transfer channel (a
+//! [`TransferScheme::clone_box`] replica and the value stream of its
+//! lowest bank), and its own address bus. Partitions run serially or
+//! on the shared pool ([`SimConfig::shards`]) and merge with a
+//! deterministic, order-independent reduction in fixed bank order, so
+//! **results are bit-identical for any shard count**. Cross-bank DRAM
+//! contention is reconciled at the epoch barrier
+//! ([`SimConfig::dram_epoch_cycles`]), whose completions route back
+//! to `(partition, record)`.
+//!
+//! What is particular to this machine: per-access H-tree and
+//! address-bus bookkeeping, and a timing model iterated three times
+//! so bank queueing and DRAM stalls feed back into the access arrival
+//! rate.
 
-use crate::bank::{home_bank, BankScheduler};
-use crate::batch::{ChannelBatch, FLUSH_CAP};
-use crate::cache::{CacheOutcome, SetAssocCache};
+use crate::bank::BankScheduler;
+use crate::batch::FLUSH_CAP;
+use crate::cache::CacheOutcome;
 use crate::config::SimConfig;
-use crate::dram::Dram;
-use crate::shard::{run_parts, run_parts_mut};
+use crate::shard::{replay_dram, Cell, Channel, MissEvent};
 use desc_cacti::cache::CacheActivity;
 use desc_cacti::CacheModel;
 use desc_core::wire::Bus;
-use desc_core::{CostSummary, TransferScheme};
+use desc_core::{CostSummary, TransferCost, TransferScheme};
 use desc_workloads::{Access, BenchmarkProfile};
-use std::sync::Mutex;
 
 /// Everything measured by one simulation run.
 #[derive(Clone, Debug)]
@@ -90,8 +91,8 @@ struct AccessRecord {
 }
 
 /// An access whose transfer cost(s) are still queued in the channel's
-/// [`ChannelBatch`]; the directory outcome and all order-insensitive
-/// counters were settled when it was enqueued.
+/// batch; the directory outcome and all order-insensitive counters
+/// were settled when it was enqueued.
 struct PendingAccess {
     idx: u32,
     addr: u64,
@@ -106,9 +107,12 @@ enum PendingKind {
     Miss { writeback: bool },
 }
 
-/// One bank partition's functional-phase output. Every field merges
+/// One bank partition's functional phase: the scheme replica it takes
+/// on entry, then its output. Every output field merges
 /// order-independently (sums / summary merges / histogram absorbs).
+#[derive(Default)]
 struct PartitionSim {
+    replicas: Vec<Box<dyn TransferScheme>>,
     records: Vec<AccessRecord>,
     transfer: CostSummary,
     activity: CacheActivity,
@@ -120,35 +124,24 @@ struct PartitionSim {
     hit_latency_hist: desc_telemetry::LocalHistogram,
 }
 
-/// One bank partition's timing-pass state. Allocated once per run and
-/// reused across the fixed-point passes — each pass clears and refills
-/// the buffers in place instead of reallocating them per partition per
-/// pass.
+/// One bank partition's timing-pass state: its functional-phase
+/// records and buffers allocated once per run and reused across the
+/// fixed-point passes — each pass clears and refills them in place
+/// instead of reallocating them per partition per pass.
 struct PartitionPass {
+    records: Vec<AccessRecord>,
     /// Per-bank port occupancy, reset at the start of each pass.
     sched: BankScheduler,
     /// Per-record latency (queue + base; DRAM extra added at the epoch
     /// barrier), parallel to the partition's `records`.
     lat: Vec<u64>,
-    /// Miss requests for the shared DRAM, exchanged at the barrier.
-    misses: Vec<MissEvent>,
+    /// Miss requests for the shared DRAM, routed back to
+    /// `(partition, slot in lat)`.
+    misses: Vec<MissEvent<(usize, usize)>>,
     horizon: u64,
     queue_hist: desc_telemetry::LocalHistogram,
     bank_conflicts: u64,
     bank_busy_cycles: u64,
-}
-
-/// A cross-shard DRAM request exchanged at the epoch barrier.
-struct MissEvent {
-    /// Global program-order index — the within-epoch order.
-    idx: u64,
-    /// Originating partition, for routing the DRAM delay back.
-    part: usize,
-    /// Index into the partition's `lat` vector.
-    slot: usize,
-    addr: u64,
-    /// Cycle the request reaches DRAM (bank start + miss detect).
-    issue: u64,
 }
 
 /// A configured simulation of one benchmark on one machine.
@@ -174,10 +167,10 @@ impl SystemSim {
     /// measured result.
     ///
     /// The cell is decomposed by home bank and the bank partitions are
-    /// simulated on up to [`SimConfig::shards`] worker threads (see the
+    /// simulated on up to [`SimConfig::shards`] pool threads (see the
     /// module docs); the result is bit-identical for any shard count.
-    /// `scheme` supplies the configuration — each bank channel gets its
-    /// own power-on replica via [`TransferScheme::clone_box`].
+    /// `scheme` supplies the configuration — each partition's channel
+    /// gets its own power-on replica via [`TransferScheme::clone_box`].
     ///
     /// # Examples
     ///
@@ -198,8 +191,8 @@ impl SystemSim {
     ///
     /// Panics if `accesses` is zero.
     pub fn run(&self, scheme: Box<dyn TransferScheme>, accesses: usize) -> SimResult {
-        assert!(accesses > 0, "simulate at least one access");
         let cfg = &self.config;
+        let cell = Cell::new(cfg, cfg.l2.banks, &self.profile, self.seed, accesses);
         let model = CacheModel::new(cfg.l2);
         let is_desc = scheme.name().contains("DESC");
         let is_last_value = scheme.name().contains("Last Value");
@@ -207,200 +200,127 @@ impl SystemSim {
         let array = model.array_delay_cycles();
         let tree = model.htree_delay_cycles();
         let miss_detect = model.miss_latency_cycles();
-        let banks_n = cfg.l2.banks;
-        let block_bytes = cfg.l2.block_bytes as u64;
-
-        // One partition per bank whenever the geometry decomposes (any
-        // power-of-two bank count up to the set count — set index and
-        // bank id are then both low block-address bits, so each bank
-        // owns whole sets). Otherwise a single partition simulates all
-        // banks; that degenerate shape is still shard-count invariant.
-        let capacity_blocks = cfg.l2.capacity_bytes / cfg.l2.block_bytes;
-        let set_count = capacity_blocks / cfg.l2.associativity;
-        let parts = if banks_n.is_power_of_two() && banks_n <= set_count { banks_n } else { 1 };
-        let threads = cfg.shards.max(1);
-
-        // The trace is generated once (one sequential RNG stream) and
-        // bucketed by owning partition *during* generation, so the
-        // functional phase touches every access exactly once
-        // process-wide — previously each partition re-scanned the
-        // whole shared trace through an `owns()` filter, which cost
-        // `parts × (warmup + accesses)` predicate checks per cell.
-        //
-        // Warmup brings the directory to steady state so measurements
-        // exclude cold-start compulsory misses (the paper runs
-        // applications to completion; we measure a steady-state
-        // window). Warmup touches the directory only — no transfers,
-        // no energy.
-        let warmup = (2 * capacity_blocks).max(accesses);
-        assert!(accesses < u32::MAX as usize, "measured window exceeds u32 program indices");
-        let mut trace_gen = self.profile.trace(self.seed);
-        let mut warm_parts: Vec<Vec<Access>> =
-            (0..parts).map(|_| Vec::with_capacity(warmup / parts + warmup / 16 + 8)).collect();
-        let mut meas_parts: Vec<Vec<(u32, Access)>> =
-            (0..parts).map(|_| Vec::with_capacity(accesses / parts + accesses / 16 + 8)).collect();
-        for i in 0..warmup + accesses {
-            let a = trace_gen.next_access();
-            let p = home_bank(a.addr, block_bytes, banks_n) % parts;
-            if i < warmup {
-                warm_parts[p].push(a);
-            } else {
-                meas_parts[p].push(((i - warmup) as u32, a));
-            }
-        }
-
-        // Clone one scheme replica per bank channel up front (on this
-        // thread — `clone_box` borrows the template), then let each
-        // partition take its own.
-        let replicas: Vec<Mutex<Option<Box<dyn TransferScheme>>>> = (0..parts)
-            .map(|_| {
-                let mut replica = scheme.clone_box();
-                replica.reset();
-                Mutex::new(Some(replica))
-            })
-            .collect();
+        let lv_penalty = cfg.last_value_write_penalty;
 
         // Telemetry is checked once per run; the per-access cost when
         // enabled is plain (non-atomic) local-histogram adds, merged
         // into the global registry in fixed bank order at the end.
         let telemetry = desc_telemetry::enabled();
 
-        // Transfers are batched: value-stream blocks accumulate into a
-        // per-channel slab and are encoded through
+        // ---- Functional phase: directory, transfers, transitions. ---
+        // Transfers are batched: value-stream blocks accumulate into
+        // the channel's slab and are encoded through
         // `TransferScheme::transfer_many` in bounded flushes; the
         // queued accesses then replay in program order against the
         // returned costs, so every result is bit-identical to the
-        // per-access scalar path.
-        let lv_penalty = self.config.last_value_write_penalty;
-
-        // ---- Functional phase: directory, transfers, transitions. ---
-        // Each partition owns its bank's directory slice, channel wire
-        // state, address bus, and value stream; partitions never share
-        // mutable state, so the worker threads need no synchronisation
-        // and the merge below is deterministic.
-        let sims: Vec<PartitionSim> = run_parts(parts, threads, |p| {
-            let mut l2 = SetAssocCache::bank_slice(
-                cfg.l2.capacity_bytes,
-                cfg.l2.block_bytes,
-                cfg.l2.associativity,
-                parts,
-                p,
-            );
-            let mut scheme = replicas[p]
-                .lock()
-                .expect("replica mutex poisoned")
-                .take()
-                .expect("each partition takes its replica once");
-            let mut values = self.profile.value_stream_for_bank(self.seed, p);
-            let mut addr_bus = Bus::new(48);
-
-            for &Access { addr, write, core } in &warm_parts[p] {
-                let _ = l2.access(addr, write, core);
-            }
+        // per-access scalar path. Each partition drives one channel
+        // (shared by all banks when the cell runs as one partition);
+        // partitions share no mutable state, so the merge below is
+        // deterministic.
+        let mut sims: Vec<PartitionSim> = (0..cell.parts)
+            .map(|_| PartitionSim {
+                replicas: Cell::replicas(scheme.as_ref(), 1),
+                ..PartitionSim::default()
+            })
+            .collect();
+        cell.run(&mut sims, |p, out| {
+            let (mut l2, accesses) = cell.boot(p);
             let invalidations_at_warmup = l2.invalidations();
-
-            let mut out = PartitionSim {
-                records: Vec::with_capacity(meas_parts[p].len()),
-                transfer: CostSummary::new(),
-                activity: CacheActivity::default(),
-                hits: 0,
-                misses: 0,
-                writebacks: 0,
-                hit_latency_sum: 0,
-                invalidations: 0,
-                hit_latency_hist: desc_telemetry::LocalHistogram::new(),
-            };
-            let mut batch = ChannelBatch::new(cfg.l2.block_bytes);
+            // The records outlive this closure and the channel's
+            // buffers do not; allocating the records first keeps them
+            // from pinning the heap above the freed buffers (the other
+            // order raised `repro --quick --jobs 2 all`'s peak RSS by
+            // about 5 MB).
+            out.records.reserve(accesses.len());
+            let mut channels = cell.channels(p, std::mem::take(&mut out.replicas));
+            let ch = &mut channels[0];
+            let mut addr_bus = Bus::new(48);
             let mut pending: Vec<PendingAccess> = Vec::with_capacity(FLUSH_CAP);
 
             // Replays the queued accesses against the drained costs in
             // program order — the exact per-access bookkeeping the
             // scalar loop did, just decoupled from encoding.
-            let drain = |batch: &mut ChannelBatch,
-                             scheme: &mut Box<dyn TransferScheme>,
-                             pending: &mut Vec<PendingAccess>,
-                             out: &mut PartitionSim| {
-                if pending.is_empty() {
-                    return;
-                }
-                batch.encode(scheme.as_mut());
-                for pa in pending.drain(..) {
-                    let take = |out: &mut PartitionSim,
-                                    batch: &mut ChannelBatch,
+            let drain =
+                |ch: &mut Channel, pending: &mut Vec<PendingAccess>, out: &mut PartitionSim| {
+                    if pending.is_empty() {
+                        return;
+                    }
+                    ch.encode();
+                    for pa in pending.drain(..) {
+                        let take = |out: &mut PartitionSim,
+                                    ch: &mut Channel,
                                     write_dir: bool|
-                     -> desc_core::TransferCost {
-                        let cost = batch.next_cost();
-                        out.transfer.record(cost);
-                        let mut transitions = cost.total_transitions();
-                        if is_last_value && write_dir {
-                            // Last-value skipping broadcasts write data
-                            // across subbanks to keep the controller's
-                            // last-value table coherent (§5.2): extra
-                            // H-tree energy.
-                            transitions +=
-                                (cost.data_transitions as f64 * lv_penalty).round() as u64;
-                        }
-                        out.activity.htree_transitions += transitions;
-                        cost
-                    };
-                    match pa.kind {
-                        PendingKind::Hit { write } => {
-                            let cost = take(out, batch, write);
-                            // Effective latency (Fig. 21 window model);
-                            // port occupancy uses the full window.
-                            let latency = array + tree + cost.latency() + iface;
-                            out.hit_latency_sum += latency;
-                            if telemetry {
-                                out.hit_latency_hist.record(latency);
+                         -> TransferCost {
+                            let cost = ch.batch.next_cost();
+                            out.transfer.record(cost);
+                            let mut transitions = cost.total_transitions();
+                            if is_last_value && write_dir {
+                                // Last-value skipping broadcasts write data
+                                // across subbanks to keep the controller's
+                                // last-value table coherent (§5.2): extra
+                                // H-tree energy.
+                                transitions +=
+                                    (cost.data_transitions as f64 * lv_penalty).round() as u64;
                             }
-                            out.records.push(AccessRecord {
-                                idx: u64::from(pa.idx),
-                                addr: pa.addr,
-                                bank: pa.bank,
-                                miss: false,
-                                service: array + cost.cycles,
-                                base_latency: latency,
-                            });
-                        }
-                        PendingKind::Miss { writeback } => {
-                            // Fill: one block moves over the H-tree
-                            // into the bank (and onward to the
-                            // requester).
-                            let fill = take(out, batch, true);
-                            let mut service = array + fill.cycles;
-                            if writeback {
-                                let wb = take(out, batch, false);
-                                service += wb.cycles;
+                            out.activity.htree_transitions += transitions;
+                            cost
+                        };
+                        match pa.kind {
+                            PendingKind::Hit { write } => {
+                                let cost = take(out, ch, write);
+                                // Effective latency (Fig. 21 window model);
+                                // port occupancy uses the full window.
+                                let latency = array + tree + cost.latency() + iface;
+                                out.hit_latency_sum += latency;
+                                if telemetry {
+                                    out.hit_latency_hist.record(latency);
+                                }
+                                out.records.push(AccessRecord {
+                                    idx: u64::from(pa.idx),
+                                    addr: pa.addr,
+                                    bank: pa.bank,
+                                    miss: false,
+                                    service: array + cost.cycles,
+                                    base_latency: latency,
+                                });
                             }
-                            out.records.push(AccessRecord {
-                                idx: u64::from(pa.idx),
-                                addr: pa.addr,
-                                bank: pa.bank,
-                                miss: true,
-                                service,
-                                // DRAM latency is added during the
-                                // timing phase.
-                                base_latency: miss_detect + fill.latency() + iface,
-                            });
+                            PendingKind::Miss { writeback } => {
+                                // Fill: one block moves over the H-tree
+                                // into the bank (and onward to the
+                                // requester).
+                                let fill = take(out, ch, true);
+                                let mut service = array + fill.cycles;
+                                if writeback {
+                                    let wb = take(out, ch, false);
+                                    service += wb.cycles;
+                                }
+                                out.records.push(AccessRecord {
+                                    idx: u64::from(pa.idx),
+                                    addr: pa.addr,
+                                    bank: pa.bank,
+                                    miss: true,
+                                    service,
+                                    // DRAM latency is added during the
+                                    // timing phase.
+                                    base_latency: miss_detect + fill.latency() + iface,
+                                });
+                            }
                         }
                     }
-                }
-            };
+                };
 
-            for &(i, Access { addr, write, core }) in &meas_parts[p] {
-                let bank = home_bank(addr, block_bytes, banks_n);
+            for &(i, Access { addr, write, core }) in accesses {
+                let bank = cell.bank(addr);
                 let outcome = l2.access(addr, write, core);
                 out.activity.tag_lookups += 1;
                 let addr_flips = u64::from(addr_bus.drive((addr >> 6) & ((1 << 48) - 1)));
                 out.activity.htree_transitions += addr_flips;
 
-                // Queue the access's block(s) — the stream's scratch
-                // block is copied into the slab, so the draw order and
-                // bytes are identical to per-access transfers. Counters
-                // that don't need the cost are settled here.
+                // Queue the access's block(s); counters that don't
+                // need the cost are settled here.
                 match outcome {
                     CacheOutcome::Hit => {
-                        batch.push(values.next_block_ref());
+                        ch.queue_next();
                         out.hits += 1;
                         if write {
                             out.activity.array_writes += 1;
@@ -415,12 +335,12 @@ impl SystemSim {
                         });
                     }
                     CacheOutcome::Miss { writeback } => {
-                        batch.push(values.next_block_ref());
+                        ch.queue_next();
                         out.misses += 1;
                         out.activity.array_writes += 1;
                         if writeback {
                             out.writebacks += 1;
-                            batch.push(values.next_block_ref());
+                            ch.queue_next();
                             out.activity.array_reads += 1;
                         }
                         pending.push(PendingAccess {
@@ -431,13 +351,12 @@ impl SystemSim {
                         });
                     }
                 }
-                if batch.queued() >= FLUSH_CAP {
-                    drain(&mut batch, &mut scheme, &mut pending, &mut out);
+                if ch.batch.queued() >= FLUSH_CAP {
+                    drain(ch, &mut pending, out);
                 }
             }
-            drain(&mut batch, &mut scheme, &mut pending, &mut out);
+            drain(ch, &mut pending, out);
             out.invalidations = l2.invalidations() - invalidations_at_warmup;
-            out
         });
 
         // Deterministic functional merge, fixed bank order.
@@ -465,19 +384,11 @@ impl SystemSim {
 
         // ---- Timing phase: iterate arrivals to a fixed point. -------
         // Each pass: (A) banks advance independently per partition,
-        // collecting DRAM requests; (B) epoch barrier — the requests
-        // are ordered by (issue epoch, program order) and replayed
+        // collecting DRAM requests; (B) the epoch barrier replays them
         // through one shared DRAM, routing channel-contention delays
         // back to their partitions; (C) order-independent merge.
-        let apki = self.profile.l2_apki;
-        let cores = self.profile.cores as f64;
-        let base_cpa = 1000.0 / (apki * cores * self.profile.base_ipc);
-        let base_cycles = (accesses as f64 * base_cpa).ceil() as u64;
-        let exposure = cfg.core.exposure();
-        let epoch_cycles = cfg.dram_epoch_cycles.max(1);
-
-        let mut cpa = base_cpa;
-        let mut exec_cycles = base_cycles;
+        let mut cpa = cell.base_cpa;
+        let mut exec_cycles = 0u64;
         let mut latency_sum = 0u64;
         // Converged-iteration telemetry: re-initialised each pass, so
         // the values merged below reflect the final fixed-point
@@ -491,10 +402,11 @@ impl SystemSim {
         // Pass state is allocated once and reused across the three
         // fixed-point passes (and the event buffer across barriers).
         let mut passes: Vec<PartitionPass> = sims
-            .iter()
+            .into_iter()
             .map(|sim| PartitionPass {
-                sched: BankScheduler::new(banks_n),
+                sched: BankScheduler::new(cell.banks),
                 lat: Vec::with_capacity(sim.records.len()),
+                records: sim.records,
                 misses: Vec::new(),
                 horizon: 0,
                 queue_hist: desc_telemetry::LocalHistogram::new(),
@@ -502,29 +414,26 @@ impl SystemSim {
                 bank_busy_cycles: 0,
             })
             .collect();
-        let mut events: Vec<MissEvent> = Vec::new();
+        let mut events = Vec::new();
         for _ in 0..3 {
             // (A) Independent bank scheduling per partition.
-            let pass_cpa = cpa;
-            run_parts_mut(&mut passes, threads, |p, pass| {
-                let sim = &sims[p];
+            cell.run(&mut passes, |p, pass| {
                 pass.sched.reset();
                 pass.lat.clear();
                 pass.misses.clear();
                 pass.queue_hist = desc_telemetry::LocalHistogram::new();
                 pass.bank_conflicts = 0;
                 pass.bank_busy_cycles = 0;
-                for (slot, r) in sim.records.iter().enumerate() {
-                    let arrival = (r.idx as f64 * pass_cpa) as u64;
+                for (slot, r) in pass.records.iter().enumerate() {
+                    let arrival = (r.idx as f64 * cpa) as u64;
                     let (start, queue) = pass.sched.schedule(r.bank, arrival, r.service);
                     pass.lat.push(queue + r.base_latency);
                     if r.miss {
                         pass.misses.push(MissEvent {
                             idx: r.idx,
-                            part: p,
-                            slot,
                             addr: r.addr,
                             issue: start + miss_detect,
+                            route: (p, slot),
                         });
                     }
                     if telemetry {
@@ -538,23 +447,14 @@ impl SystemSim {
                 pass.horizon = pass.sched.horizon();
             });
 
-            // (B) Epoch barrier: order cross-bank DRAM requests by
-            // (issue epoch, program order) — within an epoch, program
-            // order; across epochs, issue time — and replay them
-            // through one shared DRAM. The sort key is a pure function
-            // of per-partition results, so this is deterministic for
-            // any shard count.
-            events.clear();
+            // (B) Epoch barrier.
             for pass in &mut passes {
                 events.append(&mut pass.misses);
             }
-            events.sort_unstable_by_key(|e| (e.issue / epoch_cycles, e.idx));
-            let mut dram =
-                Dram::new(cfg.dram_channels, cfg.dram_latency_cycles, cfg.dram_occupancy_cycles);
-            for e in &events {
-                let done = dram.access(e.addr, e.issue);
-                passes[e.part].lat[e.slot] += done - e.issue;
-            }
+            let dram = replay_dram(cfg, &mut events, |e, done| {
+                let (part, slot) = e.route;
+                passes[part].lat[slot] += done - e.issue;
+            });
             dram_accesses = dram.accesses();
             dram_row_hits = dram.row_hits();
 
@@ -575,8 +475,7 @@ impl SystemSim {
                 }
             }
             let horizon = passes.iter().map(|p| p.horizon).max().unwrap_or(0);
-            let stall_cycles = (latency_sum as f64 * exposure / cores) as u64;
-            exec_cycles = (base_cycles + stall_cycles).max(horizon);
+            exec_cycles = cell.exec_cycles(latency_sum, horizon);
             cpa = exec_cycles as f64 / accesses as f64;
         }
 
@@ -612,7 +511,7 @@ impl SystemSim {
             avg_access_latency_cycles: latency_sum as f64 / accesses as f64,
             exec_cycles,
             exec_time_s,
-            instructions: (accesses as f64 * 1000.0 / apki) as u64,
+            instructions: (accesses as f64 * 1000.0 / self.profile.l2_apki) as u64,
             activity,
             transfer: transfer_stats,
         }

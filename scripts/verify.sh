@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 (build + tests) plus lints. Fully offline —
-# the workspace has no external dependencies.
+# Repo verification: the Rust checks CI runs — tier-1 (build + root
+# tests), workspace tests, doctests, clippy, rustdoc and the benchmark
+# build. Fully offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,7 +11,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
+
+echo "==> cargo test -q --workspace --doc"
+cargo test -q --workspace --doc
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> OK"
