@@ -18,8 +18,8 @@
 //! - [`store`] — the two-tier [`CacheStore`]: a bounded LRU hot tier
 //!   (`DESC_CACHE_MEM_BYTES`) in front of an on-disk store of record
 //!   (one object file per cell, written with [`write_atomic`]), with
-//!   hit/miss/store/eviction counters surfaced as `cache.*` metrics
-//!   and a single-flight registry ([`CacheStore::begin_flight`]) so
+//!   hit/miss/store/eviction counters surfaced in the report's `cache`
+//!   stanza and a single-flight registry ([`CacheStore::begin_flight`]) so
 //!   concurrent callers compute each cold cell exactly once.
 //!
 //! What a cached entry *means* (which config/profile fields are

@@ -24,12 +24,11 @@
 //!   A leader that unwinds (panic or cancellation) hands leadership
 //!   to a waiting follower instead of wedging the key.
 //!
-//! Every outcome is counted ([`CacheStats`]) and mirrored into
-//! `cache.*` registry counters while telemetry is enabled, which is
-//! how the hit/miss counters reach the `cache` stanza of
-//! `desc-run-report/v1` and `bench_pipeline`'s cache axis. `cache.*`
-//! names are excluded from metric capture and from determinism
-//! comparisons, like `pool.*`.
+//! Every outcome is counted in the store's own atomics
+//! ([`CacheStats`]), rendered only into the `cache` stanza of
+//! `desc-run-report/v1` ([`CacheStore::report`]) and
+//! `bench_pipeline`'s cache axis — never into the metric registry, so
+//! a report's `metrics` block is identical cold or warm.
 //!
 //! A lookup never returns a wrong or stale result class: entries are
 //! validated (checksum, version, key echo) at decode time, and a
@@ -59,8 +58,7 @@ pub const DEFAULT_MEM_BYTES: u64 = 256 * 1024 * 1024;
 /// follower with a deadline never oversleeps it by much.
 const FLIGHT_WAIT_TICK: Duration = Duration::from_millis(10);
 
-/// Point-in-time store counters (also mirrored as `cache.*` registry
-/// counters while telemetry is enabled).
+/// Point-in-time store counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the in-memory hot map.
@@ -400,14 +398,14 @@ impl CacheStore {
         let usable = |e: &Entry| !require_delta || e.delta.is_some();
         if let Some(entry) = self.hot.lock().expect("hot tier poisoned").get(key) {
             if usable(&entry) {
-                self.bump(&self.stats.hits_memory, "cache.hits_memory");
+                self.bump(&self.stats.hits_memory);
                 return Some(entry);
             }
-            self.bump(&self.stats.misses, "cache.misses");
+            self.bump(&self.stats.misses);
             return None;
         }
         let Some(dir) = &self.dir else {
-            self.bump(&self.stats.misses, "cache.misses");
+            self.bump(&self.stats.misses);
             return None;
         };
         let path = self.object_path(dir, key);
@@ -415,9 +413,9 @@ impl CacheStore {
             Ok(bytes) => bytes,
             Err(e) => {
                 if e.kind() != std::io::ErrorKind::NotFound {
-                    self.bump(&self.stats.errors, "cache.errors");
+                    self.bump(&self.stats.errors);
                 }
-                self.bump(&self.stats.misses, "cache.misses");
+                self.bump(&self.stats.misses);
                 return None;
             }
         };
@@ -426,22 +424,22 @@ impl CacheStore {
                 let entry = Arc::new(entry);
                 let evicted =
                     self.hot.lock().expect("hot tier poisoned").insert(*key, Arc::clone(&entry));
-                self.bump_by(&self.stats.evictions, "cache.evictions", evicted);
-                self.bump(&self.stats.hits_disk, "cache.hits_disk");
+                self.bump_by(&self.stats.evictions, evicted);
+                self.bump(&self.stats.hits_disk);
                 Some(entry)
             }
             Ok(_) => {
-                self.bump(&self.stats.misses, "cache.misses");
+                self.bump(&self.stats.misses);
                 None
             }
             Err(CodecError::Version { .. }) => {
-                self.bump(&self.stats.version_mismatches, "cache.version_mismatches");
-                self.bump(&self.stats.misses, "cache.misses");
+                self.bump(&self.stats.version_mismatches);
+                self.bump(&self.stats.misses);
                 None
             }
             Err(_) => {
-                self.bump(&self.stats.errors, "cache.errors");
-                self.bump(&self.stats.misses, "cache.misses");
+                self.bump(&self.stats.errors);
+                self.bump(&self.stats.misses);
                 None
             }
         }
@@ -460,11 +458,11 @@ impl CacheStore {
             let removed = std::fs::remove_file(self.object_path(dir, key));
             if let Err(e) = removed {
                 if e.kind() != std::io::ErrorKind::NotFound {
-                    self.bump(&self.stats.errors, "cache.errors");
+                    self.bump(&self.stats.errors);
                 }
             }
         }
-        self.bump(&self.stats.errors, "cache.errors");
+        self.bump(&self.stats.errors);
     }
 
     /// Stores a computed cell under `key` (hot map immediately; object
@@ -478,8 +476,8 @@ impl CacheStore {
     fn store_entry(&self, key: &CellKey, payload: Vec<u8>, delta: Option<Snapshot>) -> Arc<Entry> {
         let entry = Arc::new(Entry { payload, delta });
         let evicted = self.hot.lock().expect("hot tier poisoned").insert(*key, Arc::clone(&entry));
-        self.bump_by(&self.stats.evictions, "cache.evictions", evicted);
-        self.bump(&self.stats.stores, "cache.stores");
+        self.bump_by(&self.stats.evictions, evicted);
+        self.bump(&self.stats.stores);
         let Some(dir) = &self.dir else { return entry };
         let bytes = encode_entry(self.version, key, &entry.payload, entry.delta.as_ref());
         let path = self.object_path(dir, key);
@@ -489,7 +487,7 @@ impl CacheStore {
             .unwrap_or(Ok(()))
             .and_then(|()| write_atomic(&path, &bytes));
         if written.is_err() {
-            self.bump(&self.stats.errors, "cache.errors");
+            self.bump(&self.stats.errors);
         }
         entry
     }
@@ -532,7 +530,7 @@ impl CacheStore {
                     None => {
                         let flight = Arc::new(Flight::default());
                         inflight.insert(*key, Arc::clone(&flight));
-                        self.bump(&self.stats.inflight_leads, "cache.inflight_leads");
+                        self.bump(&self.stats.inflight_leads);
                         return FlightOutcome::Lead(FlightLease {
                             store: self,
                             key: *key,
@@ -542,12 +540,12 @@ impl CacheStore {
                     }
                 }
             };
-            self.bump(&self.stats.inflight_waits, "cache.inflight_waits");
+            self.bump(&self.stats.inflight_waits);
             loop {
                 match flight.poll_done(FLIGHT_WAIT_TICK) {
                     Some(Some(entry)) => {
                         if !require_delta || entry.delta.is_some() {
-                            self.bump(&self.stats.inflight_hits, "cache.inflight_hits");
+                            self.bump(&self.stats.inflight_hits);
                             return FlightOutcome::Shared(entry);
                         }
                         // The leader published without the delta this
@@ -558,7 +556,7 @@ impl CacheStore {
                         // Leader abandoned the flight: retry from the
                         // top — the first retrier re-leads, the rest
                         // queue behind it.
-                        self.bump(&self.stats.inflight_handoffs, "cache.inflight_handoffs");
+                        self.bump(&self.stats.inflight_handoffs);
                         break;
                     }
                     None => poll(),
@@ -637,20 +635,12 @@ impl CacheStore {
         objects as u64
     }
 
-    fn bump(&self, cell: &AtomicU64, metric: &str) {
-        self.bump_by(cell, metric, 1);
+    fn bump(&self, cell: &AtomicU64) {
+        self.bump_by(cell, 1);
     }
 
-    fn bump_by(&self, cell: &AtomicU64, metric: &str, n: u64) {
-        if n == 0 {
-            return;
-        }
+    fn bump_by(&self, cell: &AtomicU64, n: u64) {
         cell.fetch_add(n, Ordering::Relaxed);
-        // Cell-granular (not per-access), so the registry lookup is
-        // fine without a cached handle.
-        if desc_telemetry::enabled() {
-            desc_telemetry::global().counter(metric).add(n);
-        }
     }
 }
 

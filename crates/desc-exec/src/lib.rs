@@ -874,17 +874,10 @@ fn default_target() -> usize {
 /// the target is a process-lifetime high-water mark, so `--jobs` can
 /// only widen a run, and a target of 1 means a completely serial
 /// process with zero pool threads.
-///
-/// Records the `pool.workers` gauge when telemetry is enabled — the
-/// only registry metric this crate touches (see [`PoolStats`] for
-/// why).
 pub fn configure(threads: usize) {
     let pool = Pool::global();
     pool.target.fetch_max(threads.max(1), Ordering::Relaxed);
     pool.ensure_workers();
-    if desc_telemetry::enabled() {
-        desc_telemetry::gauge!("pool.workers").record_max(pool.spawned.load(Ordering::Relaxed) as u64);
-    }
 }
 
 /// Current lifetime statistics of the process-wide pool.

@@ -24,8 +24,6 @@ fn submitter_sink_is_mirrored_by_pool_workers() {
                 counter!("exec.capture.test.inner").add(1);
                 j as u64
             });
-            // pool.* updates must never be captured.
-            desc_telemetry::global().counter("pool.capture.test").add(1);
             i as u64 + inner.iter().sum::<u64>()
         })
     });
@@ -34,13 +32,11 @@ fn submitter_sink_is_mirrored_by_pool_workers() {
     let delta = sink.snapshot();
     assert_eq!(delta.counter("exec.capture.test.outer"), Some(8));
     assert_eq!(delta.counter("exec.capture.test.inner"), Some(24));
-    assert_eq!(delta.counter("pool.capture.test"), None);
 
     // Mirror, not redirect: the global registry saw the same totals.
     let reg = desc_telemetry::global();
     assert_eq!(reg.counter("exec.capture.test.outer").get(), 8);
     assert_eq!(reg.counter("exec.capture.test.inner").get(), 24);
-    assert_eq!(reg.counter("pool.capture.test").get(), 8);
 
     // Outside the capture scope nothing is mirrored anywhere.
     let again: Vec<()> = desc_exec::run_labeled("capture_outer", 4, 4, |_| {

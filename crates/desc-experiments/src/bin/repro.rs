@@ -182,8 +182,6 @@ fn main() -> ExitCode {
     if telemetry {
         desc_telemetry::set_enabled(true);
     }
-    // Open the cell cache after the telemetry switch settles so the
-    // store's `cache.*` counters reach the report.
     let store = match &cache_dir {
         Some(dir) => {
             match desc_cache::CacheStore::open(dir, desc_experiments::cache::CELL_SCHEMA_VERSION) {

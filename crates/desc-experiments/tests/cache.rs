@@ -47,19 +47,12 @@ fn stored_cells(cache: &Path) -> u64 {
         .manifest_cells()
 }
 
-/// Report metrics with the machine-shape stanzas (`pool.*`, `cache.*`)
-/// filtered out — exactly the subset the determinism contract covers.
-fn deterministic_metrics(report_path: &Path) -> Vec<(String, String)> {
+/// The report's whole `metrics` block, pretty-printed: the
+/// determinism contract covers all of it.
+fn report_metrics(report_path: &Path) -> String {
     let report = Json::parse(&std::fs::read_to_string(report_path).expect("report written"))
         .expect("report parses as JSON");
-    let Some(Json::Obj(entries)) = report.get("metrics") else {
-        panic!("report has no metrics object");
-    };
-    entries
-        .iter()
-        .filter(|(k, _)| !k.starts_with("pool.") && !k.starts_with("cache."))
-        .map(|(k, v)| (k.clone(), v.to_pretty()))
-        .collect()
+    report.get("metrics").expect("report has a metrics object").to_pretty()
 }
 
 #[test]
@@ -105,8 +98,8 @@ fn warm_rerun_in_a_new_process_is_byte_identical_and_fully_served_from_cache() {
     assert_eq!(cold_cells, stored_cells(&cache), "warm run changed the stored cells");
     // Replayed metric deltas make the warm report metric-identical.
     assert_eq!(
-        deterministic_metrics(&cold_report),
-        deterministic_metrics(&warm_report),
+        report_metrics(&cold_report),
+        report_metrics(&warm_report),
         "warm report metrics diverged from cold"
     );
 

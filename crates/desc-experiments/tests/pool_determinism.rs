@@ -47,21 +47,17 @@ fn figure_csvs_identical_across_pool_shapes() {
     }
 }
 
-/// The `metrics` object of a run report with the pool's own
-/// `pool.*` instrumentation removed: pool execution counters describe
-/// *where* work ran, which legitimately differs between an inline
-/// serial run and a pooled one, while every simulation metric must
-/// not.
-fn sim_metrics(report_path: &std::path::Path) -> String {
+/// The whole `metrics` object of a run report, pretty-printed. Where
+/// work ran (inline or pooled) lives in `pool_utilization`, never
+/// here, so every key must match across pool shapes.
+fn report_metrics(report_path: &std::path::Path) -> String {
     let text = std::fs::read_to_string(report_path).expect("read report");
     let doc = Json::parse(&text).expect("parse report");
-    let Some(Json::Obj(pairs)) = doc.get("metrics") else {
+    let Some(metrics @ Json::Obj(pairs)) = doc.get("metrics") else {
         panic!("report has no metrics object");
     };
-    let filtered: Vec<(String, Json)> =
-        pairs.iter().filter(|(k, _)| !k.starts_with("pool.")).cloned().collect();
-    assert!(!filtered.is_empty(), "report metrics are empty");
-    Json::Obj(filtered).to_pretty()
+    assert!(!pairs.is_empty(), "report metrics are empty");
+    metrics.to_pretty()
 }
 
 #[test]
@@ -82,7 +78,7 @@ fn report_metrics_identical_across_pool_shapes() {
             "fig16",
             "fig23",
         ]);
-        let metrics = sim_metrics(&path);
+        let metrics = report_metrics(&path);
         match &baseline {
             None => baseline = Some(metrics),
             Some(expected) => {

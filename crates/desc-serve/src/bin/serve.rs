@@ -118,9 +118,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // Telemetry before the store so `cache.*` counters register; the
-    // same order `repro` uses.
-    desc_telemetry::set_enabled(true);
     if let Some(dir) = &cache_dir {
         match desc_cache::CacheStore::open(dir, desc_experiments::cache::CELL_SCHEMA_VERSION) {
             Ok(store) => {

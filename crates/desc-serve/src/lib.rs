@@ -9,10 +9,9 @@
 //! and writing the *same* cell cache — so clients exploring
 //! overlapping parameter sweeps pay for each distinct cell once,
 //! process-wide, and the response embeds a `desc-run-report/v1`
-//! document whose `metrics` match what `repro --report` produces for
-//! the same cells (modulo the `pool.*` / `cache.*` / `serve.*`
-//! operational families, which describe the process, not the
-//! simulation — see `docs/REPORT_SCHEMA.md`).
+//! document whose `metrics` equal what `repro --report` produces for
+//! the same cells; the process's own state lives only in the report's
+//! `cache` and `serve` stanzas (see `docs/REPORT_SCHEMA.md`).
 //!
 //! # Robustness contract
 //!
@@ -33,8 +32,8 @@
 //!   queueing behind it.
 //!   Overlapping sweeps also deduplicate: a cell already being
 //!   computed by another request is shared via single-flight, reported
-//!   per-request as `dedup_cells` and cumulatively as
-//!   `serve.dedup_*`.
+//!   per-request as `dedup_cells` and cumulatively in the `serve`
+//!   stanza's `dedup_*`.
 //! - **Deadlines**: a request's `deadline_ms` covers queueing *and*
 //!   execution. Expiry cancels the request's remaining cells at the
 //!   next task boundary (see [`desc_exec::CancelToken`]) and replies
@@ -50,9 +49,9 @@
 //!   (temp-file + rename), so even a hard kill loses no completed
 //!   entry.
 //!
-//! Operational counters are exposed three ways, all named `serve.*`:
-//! mirrored into the global metric registry, embedded as the `serve`
-//! stanza of every response report, and returned by `ping`.
+//! Operational counters have one record each, an atomic of this
+//! crate, rendered as the `serve` stanza of every response report and
+//! of the `ping` reply.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -109,10 +108,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lifetime counters for the `serve.*` stanza; every increment is also
-/// mirrored into the global metric registry under the same name (the
-/// `serve.*` family is excluded from request captures and determinism
-/// comparisons, like `pool.*` and `cache.*`).
+/// Lifetime counters for the `serve` stanza, kept out of the metric
+/// registry so a reply's `metrics` block matches `repro --report`.
 #[derive(Debug, Default)]
 struct Counters {
     connections: AtomicU64,
@@ -124,22 +121,11 @@ struct Counters {
     failed: AtomicU64,
     dedup_cells: AtomicU64,
     dedup_requests: AtomicU64,
-    active: AtomicU64,
 }
 
 impl Counters {
-    fn bump(field: &AtomicU64, name: &'static str) {
-        Counters::add(field, name, 1);
-    }
-
-    fn add(field: &AtomicU64, name: &'static str, n: u64) {
-        if n == 0 {
-            return;
-        }
-        field.fetch_add(n, Ordering::Relaxed);
-        if desc_telemetry::enabled() {
-            desc_telemetry::global().counter(name).add(n);
-        }
+    fn bump(field: &AtomicU64) {
+        field.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -254,6 +240,11 @@ impl Gate {
     fn queued(&self) -> usize {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).queued
     }
+
+    /// Requests holding a permit — the stanza's `active`.
+    fn active(&self) -> usize {
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).active
+    }
 }
 
 /// Per-connection bookkeeping so a drain can close *idle* connections
@@ -365,7 +356,7 @@ impl Shared {
             failed: c.failed.load(Ordering::Relaxed),
             dedup_cells: c.dedup_cells.load(Ordering::Relaxed),
             dedup_requests: c.dedup_requests.load(Ordering::Relaxed),
-            active: c.active.load(Ordering::Relaxed),
+            active: self.gate.active() as u64,
             draining: self.gate.is_draining(),
         }
     }
@@ -442,7 +433,7 @@ impl Server {
             // waiting on the client's delayed ACK. Best effort: a
             // socket that refuses the option is still served.
             let _ = stream.set_nodelay(true);
-            Counters::bump(&self.shared.counters.connections, "serve.connections");
+            Counters::bump(&self.shared.counters.connections);
             let conn = Arc::new(Conn {
                 stream: stream.try_clone()?,
                 busy: AtomicBool::new(false),
@@ -490,7 +481,7 @@ fn serve_connection(shared: &Shared, conn: &Conn, mut stream: TcpStream) {
             Ok(p) => p,
             Err(FrameError::Closed) => break,
             Err(FrameError::Oversized { declared }) => {
-                Counters::bump(&shared.counters.rejected_malformed, "serve.rejected_malformed");
+                Counters::bump(&shared.counters.rejected_malformed);
                 let reply = proto::error(
                     "",
                     ErrorCode::Oversized,
@@ -539,7 +530,7 @@ fn handle_request(shared: &Shared, payload: &[u8]) -> (Json, bool) {
     let request = match Request::parse(payload) {
         Ok(r) => r,
         Err(msg) => {
-            Counters::bump(&shared.counters.rejected_malformed, "serve.rejected_malformed");
+            Counters::bump(&shared.counters.rejected_malformed);
             // Echo the id if one survives in the broken payload, so
             // clients can still correlate the rejection.
             let id = std::str::from_utf8(payload)
@@ -568,7 +559,7 @@ fn handle_request(shared: &Shared, payload: &[u8]) -> (Json, bool) {
 fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
     let known = desc_experiments::experiment_names();
     if let Some(bad) = request.experiments.iter().find(|n| !known.contains(&n.as_str())) {
-        Counters::bump(&shared.counters.rejected_malformed, "serve.rejected_malformed");
+        Counters::bump(&shared.counters.rejected_malformed);
         return proto::error(
             &request.id,
             ErrorCode::UnknownExperiment,
@@ -582,7 +573,7 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
     let permit = match shared.gate.acquire(cancel.as_ref()) {
         Admission::Admitted(p) => p,
         Admission::Busy => {
-            Counters::bump(&shared.counters.rejected_busy, "serve.rejected_busy");
+            Counters::bump(&shared.counters.rejected_busy);
             return proto::error(
                 &request.id,
                 ErrorCode::Busy,
@@ -602,7 +593,7 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
             )
         }
         Admission::Expired => {
-            Counters::bump(&shared.counters.timed_out, "serve.timed_out");
+            Counters::bump(&shared.counters.timed_out);
             return proto::error(
                 &request.id,
                 ErrorCode::Deadline,
@@ -615,13 +606,7 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
         }
     };
 
-    Counters::bump(&shared.counters.accepted, "serve.accepted");
-    shared.counters.active.fetch_add(1, Ordering::Relaxed);
-    if desc_telemetry::enabled() {
-        desc_telemetry::global()
-            .gauge("serve.active")
-            .set(shared.counters.active.load(Ordering::Relaxed));
-    }
+    Counters::bump(&shared.counters.accepted);
 
     let mut scale = match request.preset.as_str() {
         "full" => desc_experiments::Scale::full(),
@@ -677,12 +662,6 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
         }))
     };
 
-    shared.counters.active.fetch_sub(1, Ordering::Relaxed);
-    if desc_telemetry::enabled() {
-        desc_telemetry::global()
-            .gauge("serve.active")
-            .set(shared.counters.active.load(Ordering::Relaxed));
-    }
     drop(permit);
     // Telemetry is on for the request captures, so every cell, region
     // and partition span also lands in a per-thread ring. Nothing in
@@ -693,7 +672,7 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
     let results = match outcome {
         Ok(results) => results,
         Err(payload) if payload.downcast_ref::<Cancelled>().is_some() => {
-            Counters::bump(&shared.counters.timed_out, "serve.timed_out");
+            Counters::bump(&shared.counters.timed_out);
             return proto::error(
                 &request.id,
                 ErrorCode::Deadline,
@@ -706,7 +685,7 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
             );
         }
         Err(payload) => {
-            Counters::bump(&shared.counters.failed, "serve.failed");
+            Counters::bump(&shared.counters.failed);
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_owned())
@@ -720,9 +699,9 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
     // single-flight (operational side-channel of the capture sink;
     // warm cache hits do not count).
     let dedup_cells = sink.op_count("dedup_cells");
-    Counters::add(&shared.counters.dedup_cells, "serve.dedup_cells", dedup_cells);
+    shared.counters.dedup_cells.fetch_add(dedup_cells, Ordering::Relaxed);
     if dedup_cells > 0 {
-        Counters::bump(&shared.counters.dedup_requests, "serve.dedup_requests");
+        Counters::bump(&shared.counters.dedup_requests);
     }
 
     let report = Report {
@@ -755,7 +734,7 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
                 .fold(Json::obj(), |acc, (name, t)| acc.with(name, Json::Str(t.to_csv()))),
         ),
     };
-    Counters::bump(&shared.counters.completed, "serve.completed");
+    Counters::bump(&shared.counters.completed);
     let elapsed = started.elapsed();
     shared.note_service_ms(elapsed.as_millis() as u64);
     proto::ok_run(&request.id, elapsed, dedup_cells, report.to_json(), tables)
@@ -811,6 +790,24 @@ mod tests {
             groups: Mutex::new(HashMap::new()),
             service_ewma_ms: AtomicU64::new(0),
         }
+    }
+
+    #[test]
+    fn stanza_active_follows_the_permits_held() {
+        let shared = test_shared();
+        let admit = || match shared.gate.acquire(None) {
+            Admission::Admitted(p) => p,
+            _ => panic!("a free slot admits"),
+        };
+        assert_eq!(shared.serve_report().active, 0);
+        let a = admit();
+        assert_eq!(shared.serve_report().active, 1);
+        let b = admit();
+        assert_eq!(shared.serve_report().active, 2);
+        drop(a);
+        assert_eq!(shared.serve_report().active, 1);
+        drop(b);
+        assert_eq!(shared.serve_report().active, 0);
     }
 
     #[test]

@@ -23,17 +23,13 @@
 //!   which pool thread runs it.
 //! - **Zero cost when idle.** Every mirror hook first checks a
 //!   process-wide count of installed sinks with one relaxed load.
-//! - **Scoped-out names.** Updates to `pool.*`, `cache.*`, and
-//!   `serve.*` metrics describe *where and how* work ran, not *what*
-//!   the cell computed; they are never captured (and are likewise
-//!   filtered out of determinism comparisons).
 //! - **Registration parity.** Mirror hooks fire even for zero-valued
 //!   updates, so replaying a delta registers exactly the metric names
 //!   the direct computation would have registered.
-//! - **Gauges replay as running maxima.** The only gauges updated
-//!   inside cell computations use [`crate::Gauge::record_max`]
-//!   semantics (e.g. `core.cost.max_cycles`); replay applies
-//!   `record_max`, which is order-independent and idempotent.
+//! - **Gauges replay as running maxima.** Every gauge is a running
+//!   maximum ([`crate::Gauge::record_max`], e.g.
+//!   `core.cost.max_cycles`), so replay's `record_max` is exact: it is
+//!   order-independent and idempotent.
 
 use crate::metrics::HISTOGRAM_BUCKETS;
 use crate::registry::{MetricValue, Snapshot};
@@ -49,15 +45,6 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static SINK: RefCell<Option<Arc<CaptureSink>>> = const { RefCell::new(None) };
-}
-
-/// True when updates to `name` are mirrored into capture sinks.
-/// `pool.*` (executor shape), `cache.*` (cache bookkeeping), and
-/// `serve.*` (service admission bookkeeping) are excluded — they
-/// describe the run, not the cell result.
-#[inline]
-fn captured(name: &str) -> bool {
-    !name.starts_with("pool.") && !name.starts_with("cache.") && !name.starts_with("serve.")
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -185,11 +172,6 @@ impl CaptureSink {
         }
     }
 
-    fn gauge_set(&self, name: &str, v: u64) {
-        let mut inner = self.inner.lock().expect("capture sink poisoned");
-        inner.gauges.insert(name.to_owned(), v);
-    }
-
     fn gauge_max(&self, name: &str, v: u64) {
         let mut inner = self.inner.lock().expect("capture sink poisoned");
         if let Some(cur) = inner.gauges.get_mut(name) {
@@ -287,10 +269,7 @@ pub fn replay(delta: &Snapshot) {
     }
 }
 
-fn mirror(name: &str, apply: impl FnOnce(&CaptureSink)) {
-    if !captured(name) {
-        return;
-    }
+fn mirror(apply: impl FnOnce(&CaptureSink)) {
     SINK.with(|s| {
         if let Some(sink) = s.borrow().as_deref() {
             apply(sink);
@@ -303,15 +282,7 @@ pub(crate) fn mirror_counter(name: &str, n: u64) {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return;
     }
-    mirror(name, |sink| sink.add_counter(name, n));
-}
-
-#[inline]
-pub(crate) fn mirror_gauge_set(name: &str, v: u64) {
-    if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    mirror(name, |sink| sink.gauge_set(name, v));
+    mirror(|sink| sink.add_counter(name, n));
 }
 
 #[inline]
@@ -319,7 +290,7 @@ pub(crate) fn mirror_gauge_max(name: &str, v: u64) {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return;
     }
-    mirror(name, |sink| sink.gauge_max(name, v));
+    mirror(|sink| sink.gauge_max(name, v));
 }
 
 #[inline]
@@ -327,7 +298,7 @@ pub(crate) fn mirror_histogram_sample(name: &str, value: u64) {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return;
     }
-    mirror(name, |sink| sink.hist_sample(name, value));
+    mirror(|sink| sink.hist_sample(name, value));
 }
 
 #[inline]
@@ -340,7 +311,7 @@ pub(crate) fn mirror_histogram_parts(
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return;
     }
-    mirror(name, |sink| sink.hist_parts(name, &HistCap { count, sum, buckets: *buckets }));
+    mirror(|sink| sink.hist_parts(name, &HistCap { count, sum, buckets: *buckets }));
 }
 
 #[cfg(test)]
@@ -368,23 +339,6 @@ mod tests {
         // Nothing mirrors once the guard is gone.
         reg.counter("capture.test.mirrored").add(1);
         assert_eq!(sink.snapshot().counter("capture.test.mirrored"), Some(5));
-    }
-
-    #[test]
-    fn pool_cache_and_serve_names_are_not_captured() {
-        let reg = crate::global();
-        let sink = CaptureSink::new();
-        with_capture(&sink, || {
-            reg.counter("pool.test.tasks").add(3);
-            reg.counter("cache.test.hits").add(2);
-            reg.counter("serve.test.accepted").add(4);
-            reg.counter("capture.test.kept").add(1);
-        });
-        let delta = sink.snapshot();
-        assert_eq!(delta.counter("pool.test.tasks"), None);
-        assert_eq!(delta.counter("cache.test.hits"), None);
-        assert_eq!(delta.counter("serve.test.accepted"), None);
-        assert_eq!(delta.counter("capture.test.kept"), Some(1));
     }
 
     #[test]

@@ -89,9 +89,9 @@ impl Counter {
     }
 }
 
-/// A last-value / running-maximum metric. Prefer [`Gauge::record_max`]
-/// in parallel code: `max` is order-independent, `set` is last-writer-
-/// wins and only deterministic in serial sections.
+/// A running-maximum metric. [`Gauge::record_max`] is
+/// order-independent, so a gauge is deterministic in parallel code and
+/// a captured delta replays exactly.
 #[derive(Debug, Default)]
 pub struct Gauge {
     name: &'static str,
@@ -109,15 +109,6 @@ impl Gauge {
     #[must_use]
     pub(crate) const fn named(name: &'static str) -> Self {
         Self { name, value: AtomicU64::new(0) }
-    }
-
-    /// Stores `v` (last writer wins).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-        if !self.name.is_empty() {
-            crate::capture::mirror_gauge_set(self.name, v);
-        }
     }
 
     /// Raises the gauge to `v` if `v` is larger (order-independent).

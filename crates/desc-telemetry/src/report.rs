@@ -175,9 +175,8 @@ fn sparse_to_json(buckets: &[(usize, u64)]) -> Json {
 /// the store's counters (desc-telemetry deliberately does not depend on
 /// desc-cache, mirroring how [`PoolUtilization`] is filled by
 /// `desc-exec`). All values are deterministic for a given store state,
-/// but naturally differ between cold and warm runs — determinism
-/// comparisons filter the stanza (and the matching `cache.*` registry
-/// counters) like `pool.*`.
+/// but naturally differ between cold and warm runs, so they live only
+/// in this stanza, never in the `metrics` block.
 #[derive(Debug, Clone, Default)]
 pub struct CacheReport {
     /// Cache directory backing the store (omitted from JSON when the
@@ -245,8 +244,7 @@ impl CacheReport {
 /// deliberately does not depend on desc-serve, mirroring how
 /// [`PoolUtilization`] and [`CacheReport`] are filled by their
 /// producers). Values are process-cumulative and scheduling-dependent,
-/// so determinism comparisons filter the stanza (and the matching
-/// `serve.*` registry counters) like `pool.*` / `cache.*`.
+/// so they live only in this stanza, never in the `metrics` block.
 #[derive(Debug, Clone, Default)]
 pub struct ServeReport {
     /// Address the service is listening on, e.g. `"127.0.0.1:7013"`.

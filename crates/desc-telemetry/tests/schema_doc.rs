@@ -113,7 +113,7 @@ fn schema_document_matches_emitted_report() {
     // key is emitted.
     let registry = Registry::new();
     registry.counter("t.count").add(3);
-    registry.gauge("t.gauge").set(7);
+    registry.gauge("t.gauge").record_max(7);
     registry.histogram("t.lat").record(42);
     let report = Report {
         meta: ReportMeta {
