@@ -4,7 +4,7 @@
 //! cell exactly once.
 //!
 //! - **Hot tier**: an LRU map under one mutex, bounded by a byte
-//!   budget (`DESC_CACHE_MEM_BYTES`, default 256 MiB). Every disk hit
+//!   budget (`DESC_CACHE_MEM_BYTES`, default 4 MiB). Every disk hit
 //!   and every store populates it, so overlapping figures in one
 //!   process (fig16/fig22/fig25 sweep the same grid) pay the disk
 //!   once per cell; a long-lived server evicts least-recently-used
@@ -47,11 +47,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Hot-tier byte budget when `DESC_CACHE_MEM_BYTES` is unset:
-/// generous (cells are a few KiB, so this holds the entire paper grid
-/// many times over) but bounded, so a long-lived server cannot grow
-/// past it.
-pub const DEFAULT_MEM_BYTES: u64 = 256 * 1024 * 1024;
+/// Hot-tier byte budget when `DESC_CACHE_MEM_BYTES` is unset. Cells
+/// are a few KiB, so this holds a whole `repro --quick all` store
+/// (about 1.3 MB for 404 cells) and keeps its in-run repeats memory
+/// hits, while a long-lived server's resident set stays small: past
+/// it a cell costs one disk read, about what a hot hit costs.
+pub const DEFAULT_MEM_BYTES: u64 = 4 * 1024 * 1024;
 
 /// How long a single-flight follower sleeps between checks of the
 /// leader's slot (and calls to its cancellation poll). Bounded so a

@@ -199,23 +199,30 @@ thread_local! {
     /// True while this thread is executing a region task; a region
     /// submitted in that state is a nested fork-join.
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
+
+    /// True while this thread runs a timed task. A task timed inside
+    /// it — a nested region's, run inline or while helping — is
+    /// already covered by the outer task's busy time.
+    static TIMED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Restores the previous [`IN_TASK`] value even when the task unwinds,
-/// so a caught panic cannot leave the thread permanently "in a task".
-struct InTaskGuard {
+/// Sets a thread-local flag and restores its previous value even when
+/// the task unwinds, so a caught panic cannot leave the thread
+/// permanently "in a task".
+struct FlagGuard {
+    flag: &'static std::thread::LocalKey<Cell<bool>>,
     was: bool,
 }
 
-impl InTaskGuard {
-    fn enter() -> Self {
-        InTaskGuard { was: IN_TASK.with(|f| f.replace(true)) }
+impl FlagGuard {
+    fn enter(flag: &'static std::thread::LocalKey<Cell<bool>>) -> Self {
+        FlagGuard { flag, was: flag.with(|f| f.replace(true)) }
     }
 }
 
-impl Drop for InTaskGuard {
+impl Drop for FlagGuard {
     fn drop(&mut self) {
-        IN_TASK.with(|f| f.set(self.was));
+        self.flag.with(|f| f.set(self.was));
     }
 }
 
@@ -675,7 +682,7 @@ impl Region {
                     if let Some(token) = &self.ctx.cancel {
                         token.check();
                     }
-                    let _in_task = InTaskGuard::enter();
+                    let _in_task = FlagGuard::enter(&IN_TASK);
                     // SAFETY: `i` was claimed exactly once and `env` is
                     // alive (struct invariant).
                     unsafe { (self.task)(self.env, i) }
@@ -961,15 +968,20 @@ impl TaskTimer {
     }
 
     /// Runs `g`, recording its queue wait and run time when `timer` is
-    /// set; without one this reads no clock.
+    /// set; without one this reads no clock. Only the outermost timed
+    /// task on a thread adds to the thread's busy time, so a busy
+    /// fraction never exceeds 1.
     fn time<R>(timer: Option<&Self>, g: impl FnOnce() -> R) -> R {
         let Some(timer) = timer else { return g() };
+        let timed = FlagGuard::enter(&TIMED);
         let start_us = desc_telemetry::now_us();
         let result = g();
         let run_us = desc_telemetry::now_us().saturating_sub(start_us);
         timer.agg.record(start_us.saturating_sub(timer.opened_us), run_us);
         WORKER_CELL.with(|cell| {
-            cell.busy_us.fetch_add(run_us, Ordering::Relaxed);
+            if !timed.was {
+                cell.busy_us.fetch_add(run_us, Ordering::Relaxed);
+            }
             cell.tasks.fetch_add(1, Ordering::Relaxed);
         });
         result
@@ -1001,7 +1013,7 @@ where
     if cap == 1 || pool.spawned.load(Ordering::Relaxed) == 0 {
         pool.inline.fetch_add(total as u64, Ordering::Relaxed);
         pool.executed.fetch_add(total as u64, Ordering::Relaxed);
-        let _in_task = InTaskGuard::enter();
+        let _in_task = FlagGuard::enter(&IN_TASK);
         let timer = TaskTimer::start(label);
         for i in 0..total {
             check_cancelled();
@@ -1277,6 +1289,28 @@ mod tests {
         let worked: u64 = util.workers.iter().map(|w| w.tasks).sum();
         assert!(busy >= region.run_us_sum, "worker busy time covers the region");
         assert!(worked >= 8);
+
+        // Nested: a task's inline sub-region runs inside its busy
+        // time, so this thread's busy time grows by no more than the
+        // wall time that passed.
+        desc_telemetry::set_enabled(true);
+        let me = desc_telemetry::current_worker();
+        let busy_of = |util: &desc_telemetry::PoolUtilization| {
+            util.workers.iter().find(|w| w.worker == me).map_or(0, |w| w.busy_us)
+        };
+        let before = utilization();
+        let _ = run_labeled("test-outer", 2, 1, |_| {
+            run_labeled("test-inner", 3, 1, |i| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                i
+            })
+        });
+        desc_telemetry::set_enabled(false);
+        let after = utilization();
+        let busy = busy_of(&after) - busy_of(&before);
+        let wall = after.elapsed_us - before.elapsed_us;
+        assert!(busy >= 60_000, "the outer tasks slept 60 ms: busy {busy} µs");
+        assert!(busy <= wall, "busy {busy} µs over {wall} µs of wall time");
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! [`TransferScheme`] replica) and a private value stream, so there is
 //! no shared wire state to replicate and the decomposition is exact by
 //! construction. Partition `p` owns the banks `b ≡ p (mod parts)`:
-//! their directory slice, channel replicas, value streams and port
-//! schedules — exactly bank `p` for the paper's 128-bank / 8192-set
-//! L2, all banks when the set count is below the bank count. The only
-//! cross-bank coupling, DRAM channel contention, is reconciled at the
-//! epoch barrier, whose completions add `completion − arrival` to the
-//! latency sum. Results are therefore **bit-identical for any shard
-//! count**.
+//! their outcome stream (what their directory slice decided, shared
+//! by every scheme run on the same cell input), channel replicas,
+//! value streams and port schedules — exactly bank `p` for the
+//! paper's 128-bank / 8192-set L2, all banks when the set count is
+//! below the bank count. The only cross-bank coupling, DRAM channel
+//! contention, is reconciled at the epoch barrier, whose completions
+//! add `completion − arrival` to the latency sum. Results are
+//! therefore **bit-identical for any shard count**.
 //!
 //! What is particular to this organisation: per-bank wire latency and
 //! energy, bank timing scheduled inside the functional pass, and a
@@ -30,11 +31,11 @@ use crate::bank::BankScheduler;
 use crate::batch::FLUSH_CAP;
 use crate::cache::CacheOutcome;
 use crate::config::SimConfig;
-use crate::shard::{replay_dram, Cell, Channel, MissEvent};
+use crate::shard::{replay_dram, Cell, Channel, MissEvent, Outcome};
 use desc_cacti::snuca::SnucaModel;
 use desc_cacti::CacheModel;
 use desc_core::TransferScheme;
-use desc_workloads::{Access, BenchmarkProfile};
+use desc_workloads::BenchmarkProfile;
 
 /// Result of an S-NUCA-1 run.
 #[derive(Clone, Debug)]
@@ -95,7 +96,7 @@ struct PartitionOut {
 /// An access whose bookkeeping is deferred until its channel's batch
 /// drains: the S-NUCA energy sums are `f64` accumulations whose order
 /// must match the per-access scalar loop bit for bit, so *everything*
-/// except the directory lookup and the value-stream draws replays at
+/// except the outcome read and the value-stream draws replays at
 /// drain time, in program order.
 struct PendingAccess {
     idx: u32,
@@ -108,8 +109,8 @@ struct PendingAccess {
 /// A configured S-NUCA-1 simulation.
 ///
 /// The same `SnucaSim` can run different transfer schemes; each run
-/// replays the identical trace and per-bank block-content streams, so
-/// scheme comparisons are paired.
+/// shares one outcome stream and draws the identical per-bank
+/// block-content streams, so scheme comparisons are paired.
 pub struct SnucaSim {
     config: SimConfig,
     profile: BenchmarkProfile,
@@ -161,7 +162,7 @@ impl SnucaSim {
         let cache_model = CacheModel::new(cfg.l2);
         let telemetry = desc_telemetry::enabled();
 
-        // ---- Per-bank phase: directory, transfers, bank timing. -----
+        // ---- Per-bank phase: outcomes, transfers, bank timing. ------
         // Partitions share no mutable state; the merge below is a
         // deterministic reduction in fixed bank order.
         let mut outs: Vec<PartitionOut> = (0..parts)
@@ -171,7 +172,6 @@ impl SnucaSim {
             })
             .collect();
         cell.run(&mut outs, |p, out| {
-            let (mut l2, accesses) = cell.boot(p);
             // Owned bank `b` is channel `b / parts` (b ≡ p mod parts).
             let mut channels = cell.channels(p, std::mem::take(&mut out.replicas));
             let mut sched = BankScheduler::new(banks);
@@ -248,9 +248,9 @@ impl SnucaSim {
             };
 
             let mut queued_blocks = 0usize;
-            for &(i, Access { addr, write, core }) in accesses {
+            for &Outcome { addr, idx: i, result, .. } in &cell.stream(p).outcomes {
                 let bank = cell.bank(addr);
-                let (miss, writeback) = match l2.access(addr, write, core) {
+                let (miss, writeback) = match result {
                     CacheOutcome::Hit => (false, false),
                     CacheOutcome::Miss { writeback } => (true, writeback),
                 };

@@ -1,14 +1,16 @@
-//! The top-level system simulation: trace → L2 directory → transfer
+//! The top-level system simulation: L2 outcome stream → transfer
 //! scheme → bank/DRAM timing → execution time.
 //!
 //! # Bank-sharded execution
 //!
 //! The cell splits into L2 bank partitions through the skeleton it
-//! shares with [`crate::snuca::SnucaSim`] (`shard.rs`, DESIGN.md §10):
-//! each partition owns a disjoint slice of the cache's sets
-//! ([`crate::cache::SetAssocCache::bank_slice`]), one transfer channel (a
+//! shares with [`crate::snuca::SnucaSim`] (`shard.rs`, DESIGN.md §10).
+//! The skeleton supplies each partition's outcome stream — what its
+//! slice of the cache's sets ([`crate::cache::SetAssocCache::bank_slice`])
+//! decided for each of its accesses — which every scheme run on the
+//! same cell input shares. Each partition owns one transfer channel (a
 //! [`TransferScheme::clone_box`] replica and the value stream of its
-//! lowest bank), and its own address bus. Partitions run serially or
+//! lowest bank) and its own address bus. Partitions run serially or
 //! on the shared pool ([`SimConfig::shards`]) and merge with a
 //! deterministic, order-independent reduction in fixed bank order, so
 //! **results are bit-identical for any shard count**. Cross-bank DRAM
@@ -25,12 +27,12 @@ use crate::bank::BankScheduler;
 use crate::batch::FLUSH_CAP;
 use crate::cache::CacheOutcome;
 use crate::config::SimConfig;
-use crate::shard::{replay_dram, Cell, Channel, MissEvent};
+use crate::shard::{replay_dram, Cell, Channel, MissEvent, Outcome};
 use desc_cacti::cache::CacheActivity;
 use desc_cacti::CacheModel;
 use desc_core::wire::Bus;
 use desc_core::{CostSummary, TransferCost, TransferScheme};
-use desc_workloads::{Access, BenchmarkProfile};
+use desc_workloads::BenchmarkProfile;
 
 /// Everything measured by one simulation run.
 #[derive(Clone, Debug)]
@@ -91,8 +93,8 @@ struct AccessRecord {
 }
 
 /// An access whose transfer cost(s) are still queued in the channel's
-/// batch; the directory outcome and all order-insensitive counters
-/// were settled when it was enqueued.
+/// batch; its outcome and all order-insensitive counters were settled
+/// when it was enqueued.
 struct PendingAccess {
     idx: u32,
     addr: u64,
@@ -147,8 +149,8 @@ struct PartitionPass {
 /// A configured simulation of one benchmark on one machine.
 ///
 /// The same `SystemSim` can run different transfer schemes; each run
-/// replays the identical trace and block-content stream, so scheme
-/// comparisons are paired.
+/// shares one outcome stream and draws the identical block-content
+/// stream, so scheme comparisons are paired.
 pub struct SystemSim {
     config: SimConfig,
     profile: BenchmarkProfile,
@@ -207,7 +209,7 @@ impl SystemSim {
         // into the global registry in fixed bank order at the end.
         let telemetry = desc_telemetry::enabled();
 
-        // ---- Functional phase: directory, transfers, transitions. ---
+        // ---- Functional phase: outcomes, transfers, transitions. ----
         // Transfers are batched: value-stream blocks accumulate into
         // the channel's slab and are encoded through
         // `TransferScheme::transfer_many` in bounded flushes; the
@@ -224,14 +226,13 @@ impl SystemSim {
             })
             .collect();
         cell.run(&mut sims, |p, out| {
-            let (mut l2, accesses) = cell.boot(p);
-            let invalidations_at_warmup = l2.invalidations();
+            let stream = cell.stream(p);
             // The records outlive this closure and the channel's
             // buffers do not; allocating the records first keeps them
             // from pinning the heap above the freed buffers (the other
             // order raised `repro --quick --jobs 2 all`'s peak RSS by
             // about 5 MB).
-            out.records.reserve(accesses.len());
+            out.records.reserve(stream.outcomes.len());
             let mut channels = cell.channels(p, std::mem::take(&mut out.replicas));
             let ch = &mut channels[0];
             let mut addr_bus = Bus::new(48);
@@ -309,16 +310,15 @@ impl SystemSim {
                     }
                 };
 
-            for &(i, Access { addr, write, core }) in accesses {
+            for &Outcome { addr, idx: i, write, result } in &stream.outcomes {
                 let bank = cell.bank(addr);
-                let outcome = l2.access(addr, write, core);
                 out.activity.tag_lookups += 1;
                 let addr_flips = u64::from(addr_bus.drive((addr >> 6) & ((1 << 48) - 1)));
                 out.activity.htree_transitions += addr_flips;
 
                 // Queue the access's block(s); counters that don't
                 // need the cost are settled here.
-                match outcome {
+                match result {
                     CacheOutcome::Hit => {
                         ch.queue_next();
                         out.hits += 1;
@@ -356,7 +356,7 @@ impl SystemSim {
                 }
             }
             drain(ch, &mut pending, out);
-            out.invalidations = l2.invalidations() - invalidations_at_warmup;
+            out.invalidations = stream.invalidations;
         });
 
         // Deterministic functional merge, fixed bank order.
