@@ -38,11 +38,8 @@ use std::hint::black_box;
 /// Pre-optimisation throughput on this harness's exact workload
 /// (recorded before the hot-path rework: `Vec<bool>` traces always
 /// captured, per-transfer allocations, O(rounds²) chained decode).
-const BASELINE: [(SkipMode, f64); 3] = [
-    (SkipMode::None, 106_796.0),
-    (SkipMode::Zero, 104_566.0),
-    (SkipMode::LastValue, 98_700.0),
-];
+const BASELINE: [(SkipMode, f64); 3] =
+    [(SkipMode::None, 106_796.0), (SkipMode::Zero, 104_566.0), (SkipMode::LastValue, 98_700.0)];
 
 const BLOCK_BYTES: f64 = 64.0;
 const POOL: usize = 256;
@@ -157,10 +154,7 @@ fn main() {
                 .with("baseline_transfers_per_sec", Json::UInt(baseline_tps as u64))
                 .with("baseline_bytes_per_sec", Json::UInt((baseline_tps * BLOCK_BYTES) as u64))
                 .with("current_transfers_per_sec", Json::Num((tps * 10.0).round() / 10.0))
-                .with(
-                    "current_bytes_per_sec",
-                    Json::Num((tps * BLOCK_BYTES * 10.0).round() / 10.0),
-                )
+                .with("current_bytes_per_sec", Json::Num((tps * BLOCK_BYTES * 10.0).round() / 10.0))
                 .with("speedup", Json::Num((speedup * 1000.0).round() / 1000.0)),
         );
     }
@@ -289,10 +283,7 @@ fn main() {
         .with("workload", Json::Str("ocean value stream, seed 2013".to_owned()))
         .with("transfers_per_rep", Json::UInt(TRANSFERS_PER_REP as u64))
         .with("batch_blocks_per_rep", Json::UInt(BATCH_BLOCKS_PER_REP as u64))
-        .with(
-            "batch_sizes",
-            Json::Arr(BATCH_SIZES.iter().map(|&b| Json::UInt(b as u64)).collect()),
-        )
+        .with("batch_sizes", Json::Arr(BATCH_SIZES.iter().map(|&b| Json::UInt(b as u64)).collect()))
         .with("reps", Json::UInt(REPS as u64));
     harness.finish(config);
 }

@@ -57,12 +57,9 @@ pub fn append_history(
             }
         }
     }
-    let recorded =
-        SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
+    let recorded = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
     history.push(
-        Json::obj()
-            .with("recorded_unix_s", Json::UInt(recorded))
-            .with("results", results.clone()),
+        Json::obj().with("recorded_unix_s", Json::UInt(recorded)).with("results", results.clone()),
     );
     let doc = Json::obj()
         .with("benchmark", Json::Str(benchmark.to_owned()))

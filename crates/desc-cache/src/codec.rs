@@ -395,10 +395,7 @@ mod tests {
             metrics: vec![
                 ("a.count".to_owned(), MetricValue::Counter(7)),
                 ("a.gauge".to_owned(), MetricValue::Gauge(u64::MAX)),
-                (
-                    "a.hist".to_owned(),
-                    MetricValue::Histogram { count: 3, sum: u64::MAX, buckets },
-                ),
+                ("a.hist".to_owned(), MetricValue::Histogram { count: 3, sum: u64::MAX, buckets }),
             ],
         }
     }

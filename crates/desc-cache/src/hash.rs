@@ -169,10 +169,8 @@ impl KeyHasher {
     /// A fresh hasher for the key family `domain` (e.g. `"app"`).
     #[must_use]
     pub fn new(domain: &str) -> Self {
-        let mut h = Self {
-            a: SipHasher24::new(KEY_A.0, KEY_A.1),
-            b: SipHasher24::new(KEY_B.0, KEY_B.1),
-        };
+        let mut h =
+            Self { a: SipHasher24::new(KEY_A.0, KEY_A.1), b: SipHasher24::new(KEY_B.0, KEY_B.1) };
         h.write_str(domain);
         h
     }
@@ -226,7 +224,8 @@ mod tests {
     /// `[0, 1, 2, ...]` of increasing length).
     #[test]
     fn siphash24_reference_vectors() {
-        let expected: [u64; 3] = [0x726f_db47_dd0e_0e31, 0x74f8_39c5_93dc_67fd, 0x0d6c_8009_d9a9_4f5a];
+        let expected: [u64; 3] =
+            [0x726f_db47_dd0e_0e31, 0x74f8_39c5_93dc_67fd, 0x0d6c_8009_d9a9_4f5a];
         for (len, want) in expected.iter().enumerate() {
             let msg: Vec<u8> = (0..len as u8).collect();
             let mut h = SipHasher24::new(0x0706_0504_0302_0100, 0x0f0e_0d0c_0b0a_0908);

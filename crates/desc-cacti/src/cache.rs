@@ -319,8 +319,7 @@ impl CacheModel {
             array_dynamic_j: activity.array_reads as f64 * self.array_read_energy()
                 + activity.array_writes as f64 * self.array_write_energy()
                 + activity.tag_lookups as f64 * self.tag_access_energy(),
-            htree_dynamic_j: activity.htree_transitions as f64
-                * self.htree_energy_per_transition(),
+            htree_dynamic_j: activity.htree_transitions as f64 * self.htree_energy_per_transition(),
         }
     }
 }
@@ -398,14 +397,10 @@ mod tests {
 
     #[test]
     fn wider_bus_fewer_beats() {
-        let narrow = CacheModel::new(CacheConfig {
-            bus_width_bits: 64,
-            ..CacheConfig::paper_baseline()
-        });
-        let wide = CacheModel::new(CacheConfig {
-            bus_width_bits: 512,
-            ..CacheConfig::paper_baseline()
-        });
+        let narrow =
+            CacheModel::new(CacheConfig { bus_width_bits: 64, ..CacheConfig::paper_baseline() });
+        let wide =
+            CacheModel::new(CacheConfig { bus_width_bits: 512, ..CacheConfig::paper_baseline() });
         assert_eq!(narrow.binary_transfer_cycles(), 8);
         assert_eq!(wide.binary_transfer_cycles(), 1);
         assert!(wide.hit_latency_cycles() < narrow.hit_latency_cycles());

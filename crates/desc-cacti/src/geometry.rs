@@ -50,15 +50,19 @@ impl Floorplan {
     ///
     /// Panics if any argument is zero.
     #[must_use]
-    pub fn new(tech: &TechParams, capacity_bytes: usize, banks: usize, bus_width_bits: usize) -> Self {
+    pub fn new(
+        tech: &TechParams,
+        capacity_bytes: usize,
+        banks: usize,
+        bus_width_bits: usize,
+    ) -> Self {
         assert!(capacity_bytes > 0, "capacity must be positive");
         assert!(banks > 0, "bank count must be positive");
         assert!(bus_width_bits > 0, "bus width must be positive");
         let bits = capacity_bytes as f64 * 8.0;
         let array_mm2 = bits * tech.cell_area_um2 * 1e-6 / tech.array_efficiency;
-        let area_mm2 = array_mm2
-            + banks as f64 * BANK_OVERHEAD_MM2
-            + bus_width_bits as f64 * WIRE_TRACK_MM2;
+        let area_mm2 =
+            array_mm2 + banks as f64 * BANK_OVERHEAD_MM2 + bus_width_bits as f64 * WIRE_TRACK_MM2;
         let bank_area_mm2 = area_mm2 / banks as f64;
         // Main tree: controller at the die edge to a bank's corner.
         // More banks deepen the tree slightly (extra branch levels).

@@ -45,8 +45,8 @@
 
 pub mod cache;
 pub mod geometry;
-pub mod tech;
 pub mod snuca;
+pub mod tech;
 pub mod wire;
 
 pub use cache::{CacheConfig, CacheModel, EnergyBreakdown};

@@ -34,11 +34,7 @@ impl SnucaModel {
     /// ports, LSTP devices.
     #[must_use]
     pub fn paper_default() -> Self {
-        Self::new(CacheConfig {
-            banks: 128,
-            bus_width_bits: 128,
-            ..CacheConfig::paper_baseline()
-        })
+        Self::new(CacheConfig { banks: 128, bus_width_bits: 128, ..CacheConfig::paper_baseline() })
     }
 
     /// Builds an S-NUCA-1 model from a cache configuration whose
@@ -50,8 +46,12 @@ impl SnucaModel {
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.banks >= 2, "S-NUCA needs multiple banks");
-        let floorplan =
-            Floorplan::new(&config.tech, config.capacity_bytes, config.banks, config.bus_width_bits);
+        let floorplan = Floorplan::new(
+            &config.tech,
+            config.capacity_bytes,
+            config.banks,
+            config.bus_width_bits,
+        );
         // Banks sorted by distance: bank k sits at a routed distance
         // interpolated between the nearest corner of the array and the
         // farthest (≈ the die diagonal).

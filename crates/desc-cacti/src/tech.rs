@@ -169,7 +169,9 @@ mod tests {
 
     #[test]
     fn hp_is_twice_as_fast_as_lstp() {
-        assert!((DeviceType::Lstp.delay_factor() / DeviceType::Hp.delay_factor() - 2.0).abs() < 1e-9);
+        assert!(
+            (DeviceType::Lstp.delay_factor() / DeviceType::Hp.delay_factor() - 2.0).abs() < 1e-9
+        );
     }
 
     #[test]

@@ -186,12 +186,8 @@ mod signaling_tests {
     fn low_swing_cuts_transition_energy_severalfold() {
         let tech = TechParams::nm22();
         let full = WireModel::new(&tech, 4.0, DeviceType::Lstp);
-        let low = WireModel::with_signaling(
-            &tech,
-            4.0,
-            DeviceType::Lstp,
-            Signaling::low_swing_default(),
-        );
+        let low =
+            WireModel::with_signaling(&tech, 4.0, DeviceType::Lstp, Signaling::low_swing_default());
         let ratio = full.energy_per_transition() / low.energy_per_transition();
         assert!(ratio > 2.5 && ratio < 6.0, "low-swing ratio {ratio:.2}");
         // But the receiver adds latency.

@@ -381,12 +381,7 @@ impl BlockSlab {
     ///
     /// Panics if the block's byte length differs from the slab's.
     pub fn push(&mut self, block: &Block) {
-        assert_eq!(
-            block.byte_len(),
-            self.byte_len,
-            "slab holds {}-byte blocks",
-            self.byte_len
-        );
+        assert_eq!(block.byte_len(), self.byte_len, "slab holds {}-byte blocks", self.byte_len);
         let bytes = block.as_bytes();
         let mut chunks = bytes.chunks_exact(8);
         for w in &mut chunks {
@@ -458,12 +453,7 @@ impl BlockSlab {
     ///
     /// Panics if `i >= self.len()` or `out` has a different length.
     pub fn copy_block_into(&self, i: usize, out: &mut Block) {
-        assert_eq!(
-            out.byte_len(),
-            self.byte_len,
-            "slab holds {}-byte blocks",
-            self.byte_len
-        );
+        assert_eq!(out.byte_len(), self.byte_len, "slab holds {}-byte blocks", self.byte_len);
         let words = self.block_words(i);
         let bytes = out.as_bytes_mut();
         let mut chunks = bytes.chunks_exact_mut(8);
@@ -656,9 +646,7 @@ mod tests {
         for len in [1usize, 7, 8, 9, 64] {
             let mut slab = BlockSlab::with_capacity(len, 3);
             let blocks: Vec<Block> = (0..3u8)
-                .map(|k| {
-                    Block::from_vec((0..len).map(|i| (i as u8).wrapping_mul(k + 1)).collect())
-                })
+                .map(|k| Block::from_vec((0..len).map(|i| (i as u8).wrapping_mul(k + 1)).collect()))
                 .collect();
             for b in &blocks {
                 slab.push(b);

@@ -165,8 +165,7 @@ mod tests {
     #[test]
     fn generator_toggles_only_when_enabled() {
         let mut tg = ToggleGenerator::new();
-        let outputs: Vec<bool> =
-            [true, true, false, true].iter().map(|&e| tg.step(e)).collect();
+        let outputs: Vec<bool> = [true, true, false, true].iter().map(|&e| tg.step(e)).collect();
         assert_eq!(outputs, vec![true, false, false, true]);
     }
 

@@ -72,7 +72,11 @@ impl TransferCost {
     /// ```
     #[must_use]
     pub fn latency(&self) -> u64 {
-        if self.latency_cycles == 0 { self.cycles } else { self.latency_cycles }
+        if self.latency_cycles == 0 {
+            self.cycles
+        } else {
+            self.latency_cycles
+        }
     }
 
     /// Transitions summed over every wire class.
@@ -217,8 +221,7 @@ impl CostSummary {
         if desc_telemetry::enabled() {
             desc_telemetry::counter!("core.cost.blocks").incr();
             desc_telemetry::counter!("core.cost.data_transitions").add(cost.data_transitions);
-            desc_telemetry::counter!("core.cost.control_transitions")
-                .add(cost.control_transitions);
+            desc_telemetry::counter!("core.cost.control_transitions").add(cost.control_transitions);
             desc_telemetry::counter!("core.cost.sync_transitions").add(cost.sync_transitions);
             desc_telemetry::counter!("core.cost.cycles").add(cost.cycles);
             desc_telemetry::gauge!("core.cost.max_cycles").record_max(cost.cycles);
@@ -328,7 +331,12 @@ mod tests {
         let mut s = CostSummary::new();
         assert_eq!(s.mean_transitions(), 0.0);
         s.record(TransferCost { data_transitions: 10, cycles: 5, ..TransferCost::ZERO });
-        s.record(TransferCost { data_transitions: 20, sync_transitions: 2, cycles: 15, ..TransferCost::ZERO });
+        s.record(TransferCost {
+            data_transitions: 20,
+            sync_transitions: 2,
+            cycles: 15,
+            ..TransferCost::ZERO
+        });
         assert_eq!(s.mean_transitions(), 16.0);
         assert_eq!(s.mean_cycles(), 10.0);
         assert_eq!(s.max_cycles(), 15);

@@ -458,8 +458,13 @@ impl Link {
         // receiver therefore decodes in transmitter time directly.
         self.received.clear();
         self.received.resize(n_chunks, None);
-        let chunks_in_round =
-            |r: usize| -> usize { if r >= rounds { 0 } else { (n_chunks - r * wires).min(wires) } };
+        let chunks_in_round = |r: usize| -> usize {
+            if r >= rounds {
+                0
+            } else {
+                (n_chunks - r * wires).min(wires)
+            }
+        };
         match self.config.mode {
             SkipMode::None => {
                 // Chained decoding: value = delay since the previous
@@ -717,8 +722,7 @@ pub fn replay_trace(
                     Strobe::Data(w) => {
                         let i = wire_round[w] * wires + w;
                         assert!(i < n_chunks, "replayed strobe with no pending chunk");
-                        let start =
-                            window_start.expect("reset precedes data") + wire_prefix[w];
+                        let start = window_start.expect("reset precedes data") + wire_prefix[w];
                         let v = Link::value_at(t - start, None);
                         received[i] = Some(v);
                         wire_prefix[w] += u64::from(v) + 1;
@@ -785,10 +789,7 @@ pub fn replay_trace(
             }
         }
     }
-    received
-        .into_iter()
-        .map(|v| v.expect("replay left a chunk undecoded"))
-        .collect()
+    received.into_iter().map(|v| v.expect("replay left a chunk undecoded")).collect()
 }
 
 #[cfg(test)]
@@ -922,13 +923,11 @@ mod tests {
                                 let i = assignment.chunk_at(w, r).expect("checked above");
                                 let prev_end: u64 = (0..r)
                                     .map(|rr| {
-                                        let ii =
-                                            assignment.chunk_at(w, rr).expect("earlier round");
+                                        let ii = assignment.chunk_at(w, rr).expect("earlier round");
                                         u64::from(received[ii].expect("decoded in order")) + 1
                                     })
                                     .sum();
-                                let start =
-                                    window_start.expect("reset precedes data") + prev_end;
+                                let start = window_start.expect("reset precedes data") + prev_end;
                                 received[i] = Some(Link::value_at(t - start, None));
                                 rx_last[w] = received[i].expect("just set");
                             }
@@ -952,10 +951,8 @@ mod tests {
                         },
                     }
                 }
-                let values: Vec<u16> = received
-                    .iter()
-                    .map(|v| v.expect("protocol left a chunk undecoded"))
-                    .collect();
+                let values: Vec<u16> =
+                    received.iter().map(|v| v.expect("protocol left a chunk undecoded")).collect();
                 let decoded = Chunks::from_values(self.config.chunk_size, values)
                     .reassemble(block.byte_len());
                 let data_transitions =
@@ -1097,10 +1094,7 @@ mod tests {
             assert!(high, "lane {w} was not captured");
         }
         // And the packed count agrees with the measured cost.
-        assert_eq!(
-            trace.transitions(false, &[false; 128]),
-            out.cost.total_transitions()
-        );
+        assert_eq!(trace.transitions(false, &[false; 128]), out.cost.total_transitions());
     }
 
     #[test]
@@ -1109,11 +1103,11 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(0xDE5C);
         for mode in [SkipMode::None, SkipMode::Zero, SkipMode::LastValue] {
             let mut with = Link::new(cfg(16, 4, mode, 2));
-            let mut without = Link::new(LinkConfig { trace: TraceCapture::Off, ..cfg(16, 4, mode, 2) });
+            let mut without =
+                Link::new(LinkConfig { trace: TraceCapture::Off, ..cfg(16, 4, mode, 2) });
             for _ in 0..32 {
-                let bytes: Vec<u8> = (0..64)
-                    .map(|_| if rng.gen_bool(0.4) { 0 } else { rng.gen::<u8>() })
-                    .collect();
+                let bytes: Vec<u8> =
+                    (0..64).map(|_| if rng.gen_bool(0.4) { 0 } else { rng.gen::<u8>() }).collect();
                 let block = Block::from_bytes(&bytes);
                 let a = with.transfer(&block);
                 let b = without.transfer(&block);

@@ -167,11 +167,8 @@ impl TransferScheme for AdaptiveDescScheme {
             // Same effective-window latency model as `DescScheme`
             // (midpoint of mean and max strobe position; see
             // `transfer_skipped` there for the rationale).
-            cost.latency_cycles += if strobed == 0 {
-                1
-            } else {
-                (pos_sum.div_ceil(strobed) + window).div_ceil(2)
-            };
+            cost.latency_cycles +=
+                if strobed == 0 { 1 } else { (pos_sum.div_ceil(strobed) + window).div_ceil(2) };
             last_round_skipped = any_skipped;
         }
         if last_round_skipped {
@@ -264,8 +261,7 @@ mod tests {
             // 30% zero chunks, uniform non-zero (Fig. 12's shape).
             let mut bytes = [0u8; 64];
             for nibble in 0..128 {
-                let v: u8 =
-                    if rng.gen::<f64>() < 0.3 { 0 } else { rng.gen_range(1u8..16) };
+                let v: u8 = if rng.gen::<f64>() < 0.3 { 0 } else { rng.gen_range(1u8..16) };
                 bytes[nibble / 2] |= v << ((nibble % 2) * 4);
             }
             let block = Block::from_bytes(&bytes);

@@ -143,8 +143,7 @@ impl TransferScheme for BinaryScheme {
                     if lane_driven == 0 {
                         break;
                     }
-                    let mask =
-                        if lane_driven == 64 { u64::MAX } else { (1u64 << lane_driven) - 1 };
+                    let mask = if lane_driven == 64 { u64::MAX } else { (1u64 << lane_driven) - 1 };
                     let value = bits64(words, base + l * 64) & mask;
                     let flips = (*level ^ value) & mask;
                     if flips != 0 {

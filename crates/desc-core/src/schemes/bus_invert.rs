@@ -40,11 +40,7 @@ impl SegmentedBus {
             width.is_multiple_of(segment_bits),
             "segment size {segment_bits} must divide bus width {width}"
         );
-        Self {
-            segments: vec![Bus::new(segment_bits); width / segment_bits],
-            segment_bits,
-            width,
-        }
+        Self { segments: vec![Bus::new(segment_bits); width / segment_bits], segment_bits, width }
     }
 
     fn segment_count(&self) -> usize {
@@ -159,11 +155,7 @@ impl TransferScheme for BusInvertScheme {
     }
 
     fn wires(&self) -> WireBudget {
-        WireBudget {
-            data_wires: self.bus.width,
-            control_wires: self.invert.len(),
-            sync_wires: 0,
-        }
+        WireBudget { data_wires: self.bus.width, control_wires: self.invert.len(), sync_wires: 0 }
     }
 
     fn transfer(&mut self, block: &Block) -> TransferCost {
@@ -299,12 +291,9 @@ impl TransferScheme for ZeroSkipBusInvertScheme {
                 let skip = &mut self.skip[s];
 
                 // Cost of each legal mode, counting every wire group.
-                let plain = seg.flips_to(value)
-                    + u32::from(inv.level())
-                    + u32::from(skip.level());
-                let inverted = seg.flips_to(!value & mask)
-                    + u32::from(!inv.level())
-                    + u32::from(skip.level());
+                let plain = seg.flips_to(value) + u32::from(inv.level()) + u32::from(skip.level());
+                let inverted =
+                    seg.flips_to(!value & mask) + u32::from(!inv.level()) + u32::from(skip.level());
                 let zero_skip = if value == 0 {
                     // Data and invert wires untouched; skip wire raised.
                     Some(u32::from(!skip.level()))
@@ -495,9 +484,8 @@ mod tests {
         // On any block sequence BIC total flips <= binary total flips
         // + segments (the invert wires can cost at most their own
         // settle); with the greedy decision BIC <= binary always.
-        let blocks: Vec<Block> = (0..16u8)
-            .map(|i| Block::from_bytes(&[i.wrapping_mul(37); 64]))
-            .collect();
+        let blocks: Vec<Block> =
+            (0..16u8).map(|i| Block::from_bytes(&[i.wrapping_mul(37); 64])).collect();
         let bic = flips_for(&mut BusInvertScheme::new(64, 32), &blocks);
         let bin = flips_for(&mut BinaryScheme::new(64), &blocks);
         assert!(bic <= bin, "BIC {bic} > binary {bin}");
@@ -517,7 +505,7 @@ mod tests {
     fn zs_bic_skips_zero_segments() {
         let mut s = ZeroSkipBusInvertScheme::new(8, 8);
         s.transfer(&Block::from_bytes(&[0xFF])); // inverted: wires stay 0, inv=1
-        // Zero byte: cheaper to raise skip (1 flip) than drive zeros.
+                                                 // Zero byte: cheaper to raise skip (1 flip) than drive zeros.
         let cost = s.transfer(&Block::from_bytes(&[0x00]));
         assert!(cost.total_transitions() <= 1, "cost {cost}");
     }

@@ -291,11 +291,8 @@ impl DescScheme {
             // (skip-completed chunks resolve at the closing toggle, so
             // the latency never collapses to the mean alone). Occupancy,
             // queueing and energy still use the full `window`.
-            cost.latency_cycles += if strobed == 0 {
-                1
-            } else {
-                (pos_sum.div_ceil(strobed) + window).div_ceil(2)
-            };
+            cost.latency_cycles +=
+                if strobed == 0 { 1 } else { (pos_sum.div_ceil(strobed) + window).div_ceil(2) };
             last_round_skipped = any_skipped;
         }
         if last_round_skipped {
@@ -366,11 +363,8 @@ impl TransferScheme for DescScheme {
                         self.last_values[w] = v;
                     }
                     reset_toggles += 1;
-                    self.last_stats = DescTransferStats {
-                        skipped_chunks: 0,
-                        strobed_chunks: n_chunks,
-                        rounds,
-                    };
+                    self.last_stats =
+                        DescTransferStats { skipped_chunks: 0, strobed_chunks: n_chunks, rounds };
                     let cycles = wire_time.iter().copied().max().unwrap_or(0);
                     TransferCost {
                         data_transitions: n_chunks as u64,
@@ -509,8 +503,8 @@ mod tests {
     /// 3 + 2 = 5 cycles.
     #[test]
     fn fig5_example() {
-        let mut s = DescScheme::new(1, ChunkSize::new(3).unwrap(), SkipMode::None)
-            .without_sync_strobe();
+        let mut s =
+            DescScheme::new(1, ChunkSize::new(3).unwrap(), SkipMode::None).without_sync_strobe();
         // Values 2 and 1 LSB-first: bits 010 100 → byte 0b00_001_010 = 0x0A.
         let block = Block::from_bytes(&[0b0000_1010]);
         let chunks = Chunks::split(&block, ChunkSize::new(3).unwrap());
@@ -638,8 +632,8 @@ mod tests {
     fn one_bit_chunks_degenerate_correctly() {
         // 1-bit chunks with zero skipping: only set bits strobe, at
         // position 1; every round lasts exactly 1 cycle.
-        let mut s = DescScheme::new(8, ChunkSize::new(1).unwrap(), SkipMode::Zero)
-            .without_sync_strobe();
+        let mut s =
+            DescScheme::new(8, ChunkSize::new(1).unwrap(), SkipMode::Zero).without_sync_strobe();
         let cost = s.transfer(&Block::from_bytes(&[0b0101_0011]));
         assert_eq!(cost.data_transitions, 4);
         assert_eq!(cost.cycles, 1);
@@ -647,8 +641,8 @@ mod tests {
 
     #[test]
     fn eight_bit_chunks_have_long_windows() {
-        let mut s = DescScheme::new(64, ChunkSize::new(8).unwrap(), SkipMode::Zero)
-            .without_sync_strobe();
+        let mut s =
+            DescScheme::new(64, ChunkSize::new(8).unwrap(), SkipMode::Zero).without_sync_strobe();
         let cost = s.transfer(&Block::from_bytes(&[0xFF; 64]));
         // 64 chunks of value 255 on 64 wires: one round, window 255.
         assert_eq!(cost.cycles, 255);

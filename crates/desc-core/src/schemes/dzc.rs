@@ -98,11 +98,7 @@ impl TransferScheme for DzcScheme {
     }
 
     fn wires(&self) -> WireBudget {
-        WireBudget {
-            data_wires: self.width,
-            control_wires: self.indicators.len(),
-            sync_wires: 0,
-        }
+        WireBudget { data_wires: self.width, control_wires: self.indicators.len(), sync_wires: 0 }
     }
 
     fn transfer(&mut self, block: &Block) -> TransferCost {

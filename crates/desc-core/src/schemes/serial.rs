@@ -101,7 +101,7 @@ mod tests {
     fn wire_state_persists_between_blocks() {
         let mut s = SerialScheme::new();
         s.transfer(&Block::from_bytes(&[0x01])); // MSB-first: ends with wire = 1
-        // Next block starts MSB-first with a leading 1: free.
+                                                 // Next block starts MSB-first with a leading 1: free.
         let cost = s.transfer(&Block::from_bytes(&[0x80]));
         assert_eq!(cost.data_transitions, 1); // only the 1→0 after the MSB
     }

@@ -130,11 +130,8 @@ impl DescInterfaceModel {
 
     fn estimate_from_gates(&self, gates: f64) -> SynthesisEstimate {
         let area_um2 = gates * self.node.gate_area_um2();
-        let peak_power_mw = gates
-            * PEAK_ACTIVITY
-            * self.node.gate_energy_fj()
-            * self.clock_ghz
-            * 1e-3; // fJ × GHz = µW; ×1e-3 → mW
+        let peak_power_mw =
+            gates * PEAK_ACTIVITY * self.node.gate_energy_fj() * self.clock_ghz * 1e-3; // fJ × GHz = µW; ×1e-3 → mW
         let delay_ns = PATH_DEPTH_FO4 * self.node.fo4_ps * 1e-3;
         SynthesisEstimate { area_um2, peak_power_mw, delay_ns }
     }

@@ -162,11 +162,7 @@ impl Bus {
     /// Panics if `value` has bits set beyond the bus width.
     pub fn drive(&mut self, value: u64) -> u32 {
         if self.width < 64 {
-            assert!(
-                value >> self.width == 0,
-                "value {value:#x} exceeds {}-wire bus",
-                self.width
-            );
+            assert!(value >> self.width == 0, "value {value:#x} exceeds {}-wire bus", self.width);
         }
         let flips = (self.levels ^ value).count_ones();
         self.levels = value;

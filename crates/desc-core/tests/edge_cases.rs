@@ -35,7 +35,8 @@ fn one_wire_link_still_decodes() {
 #[test]
 fn more_wires_than_chunks_is_fine() {
     // 8 chunks on 128 wires: 120 wires stay idle.
-    let mut s = DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero).without_sync_strobe();
+    let mut s =
+        DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero).without_sync_strobe();
     let block = Block::from_bytes(&[0x21, 0x43, 0x65, 0x87]);
     let cost = s.transfer(&block);
     assert_eq!(cost.data_transitions, 8);
@@ -63,7 +64,8 @@ fn single_byte_blocks_work_for_every_scheme() {
 fn large_blocks_scale_linearly_for_basic_desc() {
     // A 4 KB "block" (e.g. a DMA burst) has exactly bits/4 strobes.
     let big = Block::from_bytes(&vec![0x3C; 4096]);
-    let mut s = DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::None).without_sync_strobe();
+    let mut s =
+        DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::None).without_sync_strobe();
     let cost = s.transfer(&big);
     assert_eq!(cost.data_transitions, 4096 * 2);
 }

@@ -11,8 +11,8 @@
 
 use desc_core::protocol::{Link, LinkConfig, TraceCapture};
 use desc_core::schemes::{
-    BinaryScheme, BusInvertScheme, DescScheme, DzcScheme, EncodedZeroSkipBusInvertScheme,
-    SkipMode, ZeroSkipBusInvertScheme,
+    BinaryScheme, BusInvertScheme, DescScheme, DzcScheme, EncodedZeroSkipBusInvertScheme, SkipMode,
+    ZeroSkipBusInvertScheme,
 };
 use desc_core::{Block, BlockSlab, ChunkSize, Chunks, TransferScheme};
 use proptest::prelude::*;
@@ -20,11 +20,8 @@ use proptest::prelude::*;
 /// Arbitrary blocks of 1–64 bytes with a bias toward zero bytes (the
 /// workload statistic DESC exploits).
 fn arb_block() -> impl Strategy<Value = Block> {
-    prop::collection::vec(
-        prop_oneof![3 => Just(0u8), 5 => any::<u8>()],
-        1..=64,
-    )
-    .prop_map(|bytes| Block::from_bytes(&bytes))
+    prop::collection::vec(prop_oneof![3 => Just(0u8), 5 => any::<u8>()], 1..=64)
+        .prop_map(|bytes| Block::from_bytes(&bytes))
 }
 
 /// Blocks of exactly 64 bytes (the paper's L2 block size).

@@ -18,13 +18,7 @@ fn random_block(rng: &mut Rng64, bytes: usize) -> Block {
 
 fn check_mode(mode: SkipMode, wires: usize, bits: u8, seed: u64) {
     let chunk_size = ChunkSize::new(bits).expect("valid chunk size");
-    let config = LinkConfig {
-        wires,
-        chunk_size,
-        mode,
-        wire_delay: 2,
-        trace: TraceCapture::Packed,
-    };
+    let config = LinkConfig { wires, chunk_size, mode, wire_delay: 2, trace: TraceCapture::Packed };
     let mut link = Link::new(config);
     let mut rng = Rng64::seed_from_u64(seed);
     // Per-wire last-value state before each transfer (power-on: zeros);

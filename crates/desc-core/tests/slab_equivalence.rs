@@ -25,9 +25,7 @@ const SLAB_SIZES: [usize; 4] = [1, 7, 64, 1000];
 /// paths untested).
 fn random_block(rng: &mut Rng64, byte_len: usize) -> Block {
     Block::from_vec(
-        (0..byte_len)
-            .map(|_| if rng.gen::<u8>() < 96 { 0 } else { rng.gen::<u8>() })
-            .collect(),
+        (0..byte_len).map(|_| if rng.gen::<u8>() < 96 { 0 } else { rng.gen::<u8>() }).collect(),
     )
 }
 

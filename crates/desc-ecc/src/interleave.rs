@@ -205,11 +205,7 @@ impl InterleavedBlock {
     /// segment count.
     pub fn corrupt_chunk(&mut self, index: usize, mask: u16) {
         assert!(index < self.chunks.len(), "chunk index {index} out of range");
-        assert!(
-            mask >> self.segments == 0,
-            "mask {mask:#x} exceeds {} segments",
-            self.segments
-        );
+        assert!(mask >> self.segments == 0, "mask {mask:#x} exceeds {} segments", self.segments);
         self.chunks[index] ^= mask;
     }
 
@@ -323,10 +319,7 @@ mod tests {
         e.corrupt_chunk(99, 0b1111);
         let d = e.decode();
         assert!(d.detected_double_error());
-        assert_eq!(
-            d.outcomes.iter().filter(|o| **o == DecodeOutcome::DoubleError).count(),
-            4
-        );
+        assert_eq!(d.outcomes.iter().filter(|o| **o == DecodeOutcome::DoubleError).count(), 4);
     }
 
     #[test]

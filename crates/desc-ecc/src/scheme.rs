@@ -185,9 +185,7 @@ mod tests {
             SecdedCode::c72_64(),
             8,
         );
-        assert!(
-            ecc.transfer(&block).data_transitions >= plain.transfer(&block).data_transitions
-        );
+        assert!(ecc.transfer(&block).data_transitions >= plain.transfer(&block).data_transitions);
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl SecdedCode {
 
         let n = self.hamming_len();
         let mut word = vec![false; n + 1]; // index 0 = overall parity
-        // Place data bits at non-power-of-two positions.
+                                           // Place data bits at non-power-of-two positions.
         let mut di = 0usize;
         for pos in 1..=n {
             if !pos.is_power_of_two() {
@@ -158,11 +158,8 @@ impl SecdedCode {
         // Compute Hamming parity bits (even parity per coverage group).
         for j in 0..self.hamming_parity_bits {
             let p = 1usize << j;
-            let parity = (1..=n)
-                .filter(|&pos| pos != p && pos & p != 0 && word[pos])
-                .count()
-                % 2
-                == 1;
+            let parity =
+                (1..=n).filter(|&pos| pos != p && pos & p != 0 && word[pos]).count() % 2 == 1;
             word[p] = parity;
         }
         // Overall parity over everything else (even total parity).
@@ -317,11 +314,7 @@ mod tests {
                 let mut cw = clean.clone();
                 cw[i] = !cw[i];
                 cw[j] = !cw[j];
-                assert_eq!(
-                    code.decode(&mut cw),
-                    DecodeOutcome::DoubleError,
-                    "bits {i},{j}"
-                );
+                assert_eq!(code.decode(&mut cw), DecodeOutcome::DoubleError, "bits {i},{j}");
             }
         }
     }

@@ -919,10 +919,7 @@ pub fn utilization() -> desc_telemetry::PoolUtilization {
         .iter()
         .map(|(&worker, cell)| desc_telemetry::WorkerUtilization {
             worker,
-            name: names
-                .get(worker as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("thread-{worker}")),
+            name: names.get(worker as usize).cloned().unwrap_or_else(|| format!("thread-{worker}")),
             busy_us: cell.busy_us.load(Ordering::Relaxed),
             tasks: cell.tasks.load(Ordering::Relaxed),
         })
@@ -944,11 +941,7 @@ pub fn utilization() -> desc_telemetry::PoolUtilization {
             run_us_buckets: desc_telemetry::RegionUtilization::sparse_buckets(&agg.run.buckets()),
         })
         .collect();
-    desc_telemetry::PoolUtilization {
-        elapsed_us: desc_telemetry::now_us(),
-        workers,
-        regions,
-    }
+    desc_telemetry::PoolUtilization { elapsed_us: desc_telemetry::now_us(), workers, regions }
 }
 
 /// Per-task timing for one region, pooled or inline (so a 1-job run
@@ -1424,11 +1417,7 @@ mod tests {
         }));
         drop(guard);
         assert_cancelled(result.expect_err("expired deadline must unwind"));
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            0,
-            "no task may start after the deadline passed"
-        );
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "no task may start after the deadline passed");
         // The pool must stay healthy for subsequent regions.
         let values = run_labeled("region", 8, 2, |i| i * 2);
         assert_eq!(values, (0..8).map(|i| i * 2).collect::<Vec<_>>());

@@ -12,9 +12,8 @@ fn many_cells_times_many_partitions_on_a_two_thread_pool() {
     desc_exec::configure(2);
     assert!(desc_exec::stats().workers >= 1, "pool must have a real worker");
 
-    let expect: Vec<u64> = (0..48u64)
-        .map(|c| (0..32u64).map(|p| c * 1_000 + p * p).sum::<u64>())
-        .collect();
+    let expect: Vec<u64> =
+        (0..48u64).map(|c| (0..32u64).map(|p| c * 1_000 + p * p).sum::<u64>()).collect();
 
     for round in 0..10 {
         let got = desc_exec::run_labeled("region", 48, 4, |c| {

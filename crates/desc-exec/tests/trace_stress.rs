@@ -55,10 +55,8 @@ fn stressed_pool_produces_a_complete_attributed_timeline() {
     labels.sort_unstable();
     labels.dedup();
     assert_eq!(labels.len(), OUTER, "cell labels are distinct");
-    let regions: BTreeMap<&str, usize> = spans
-        .iter()
-        .filter(|s| s.name == "region")
-        .fold(BTreeMap::new(), |mut m, s| {
+    let regions: BTreeMap<&str, usize> =
+        spans.iter().filter(|s| s.name == "region").fold(BTreeMap::new(), |mut m, s| {
             *m.entry(s.label.as_str()).or_default() += 1;
             m
         });
@@ -87,10 +85,7 @@ fn stressed_pool_produces_a_complete_attributed_timeline() {
     let mut cell_workers: Vec<u32> = cells.iter().map(|s| s.worker).collect();
     cell_workers.sort_unstable();
     cell_workers.dedup();
-    assert!(
-        cell_workers.len() > 1,
-        "all {OUTER} cells landed on one thread despite a 4-wide pool"
-    );
+    assert!(cell_workers.len() > 1, "all {OUTER} cells landed on one thread despite a 4-wide pool");
 
     // Pool accounting agrees with the timeline: the outer region plus
     // one nested region per outer task, every inner submission counted

@@ -208,8 +208,7 @@ fn main() -> ExitCode {
     // explicitly asked): never into redirected logs, never with
     // `--quiet`.
     progress::set_experiment_count(names.len());
-    let reporter = (!quiet && (force_progress || progress::stderr_is_tty()))
-        .then(Reporter::start);
+    let reporter = (!quiet && (force_progress || progress::stderr_is_tty())).then(Reporter::start);
 
     for name in &names {
         let started = Instant::now();

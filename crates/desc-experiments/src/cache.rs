@@ -148,11 +148,7 @@ fn put_energy(e: &mut Encoder, b: &EnergyBreakdown) {
 }
 
 fn get_energy(d: &mut Decoder) -> Result<EnergyBreakdown, CodecError> {
-    Ok(EnergyBreakdown {
-        static_j: d.f64()?,
-        array_dynamic_j: d.f64()?,
-        htree_dynamic_j: d.f64()?,
-    })
+    Ok(EnergyBreakdown { static_j: d.f64()?, array_dynamic_j: d.f64()?, htree_dynamic_j: d.f64()? })
 }
 
 /// Serializes an [`AppRun`] into the cell payload format (fixed field
@@ -268,11 +264,7 @@ mod tests {
     use desc_workloads::BenchmarkId;
 
     fn sample_run() -> AppRun {
-        run_app(
-            SchemeKind::ZeroSkippedDesc,
-            &BenchmarkId::Radix.profile(),
-            &Scale::tiny(),
-        )
+        run_app(SchemeKind::ZeroSkippedDesc, &BenchmarkId::Radix.profile(), &Scale::tiny())
     }
 
     fn assert_bitwise_equal(a: &AppRun, b: &AppRun) {
@@ -288,10 +280,7 @@ mod tests {
         assert_bitwise_equal(&run, &back);
         assert_eq!(run.result.accesses, back.result.accesses);
         assert_eq!(run.result.transfer.blocks(), back.result.transfer.blocks());
-        assert_eq!(
-            run.result.transfer.total(),
-            back.result.transfer.total(),
-        );
+        assert_eq!(run.result.transfer.total(), back.result.transfer.total(),);
         assert_eq!(run.l2, back.l2);
         assert_eq!(run.processor, back.processor);
     }
@@ -349,23 +338,27 @@ mod tests {
         other_cfg.l2.banks *= 2;
         assert_ne!(
             k,
-            app_key("paper:ZeroSkippedDesc", scheme.as_ref(), &other_cfg, &profile, &base, overhead)
+            app_key(
+                "paper:ZeroSkippedDesc",
+                scheme.as_ref(),
+                &other_cfg,
+                &profile,
+                &base,
+                overhead
+            )
         );
         // Same spec under the snuca domain is a different address.
-        assert_ne!(
-            (k.hi, k.lo),
-            {
-                let s = snuca_key(
-                    "paper:ZeroSkippedDesc",
-                    scheme.as_ref(),
-                    &cfg,
-                    &profile,
-                    base.seed,
-                    base.accesses,
-                );
-                (s.hi, s.lo)
-            }
-        );
+        assert_ne!((k.hi, k.lo), {
+            let s = snuca_key(
+                "paper:ZeroSkippedDesc",
+                scheme.as_ref(),
+                &cfg,
+                &profile,
+                base.seed,
+                base.accesses,
+            );
+            (s.hi, s.lo)
+        });
     }
 
     #[test]

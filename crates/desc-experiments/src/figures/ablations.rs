@@ -30,7 +30,9 @@ pub fn abl_sync(scale: &Scale) -> Table {
     ];
     let per_app = run_matrix(&configs, &suite, scale, |&(_, build), p| {
         let (scheme, id): (Box<dyn TransferScheme>, &str) = match build {
-            None => (SchemeKind::ConventionalBinary.build_paper_config(), "paper:ConventionalBinary"),
+            None => {
+                (SchemeKind::ConventionalBinary.build_paper_config(), "paper:ConventionalBinary")
+            }
             Some(true) => (
                 Box::new(DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero)),
                 "desc:w128:c4:skip=Zero",
@@ -168,15 +170,21 @@ pub fn abl_wires(scale: &Scale) -> Table {
     let suite = scale.suite();
     let kinds = [SchemeKind::ConventionalBinary, SchemeKind::ZeroSkippedDesc];
     let signalings = [Signaling::FullSwing, Signaling::low_swing_default()];
-    let configs: Vec<(SchemeKind, Signaling)> = kinds
-        .into_iter()
-        .flat_map(|kind| signalings.into_iter().map(move |s| (kind, s)))
-        .collect();
+    let configs: Vec<(SchemeKind, Signaling)> =
+        kinds.into_iter().flat_map(|kind| signalings.into_iter().map(move |s| (kind, s))).collect();
     let per_app = run_matrix(&configs, &suite, scale, |&(kind, signaling), p| {
         let mut cfg = SimConfig::paper_multithreaded();
         cfg.l2.signaling = signaling;
         let overhead = if kind.is_desc() { 1.03 } else { 1.0 };
-        run_custom_keyed(&format!("paper:{kind:?}"), kind.build_paper_config(), cfg, p, scale, overhead).l2_energy()
+        run_custom_keyed(
+            &format!("paper:{kind:?}"),
+            kind.build_paper_config(),
+            cfg,
+            p,
+            scale,
+            overhead,
+        )
+        .l2_energy()
     });
     let totals: Vec<f64> =
         (0..configs.len()).map(|c| per_app.iter().map(|row| row[c]).sum()).collect();

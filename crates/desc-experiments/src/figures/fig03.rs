@@ -29,8 +29,8 @@ pub fn run() -> Table {
         c.total_transitions().to_string(),
         c.cycles.to_string(),
     ]);
-    let mut desc = DescScheme::new(2, ChunkSize::new(4).expect("valid"), SkipMode::None)
-        .without_sync_strobe();
+    let mut desc =
+        DescScheme::new(2, ChunkSize::new(4).expect("valid"), SkipMode::None).without_sync_strobe();
     let c = desc.transfer(&byte);
     t.row_owned(vec![
         "DESC (2 data + reset)".into(),

@@ -6,8 +6,7 @@
 use crate::common::{run_custom_keyed, run_matrix, Scale};
 use crate::table::{r2, Table};
 use desc_core::schemes::{
-    BusInvertScheme, DzcScheme, EncodedZeroSkipBusInvertScheme, SchemeKind,
-    ZeroSkipBusInvertScheme,
+    BusInvertScheme, DzcScheme, EncodedZeroSkipBusInvertScheme, SchemeKind, ZeroSkipBusInvertScheme,
 };
 use desc_core::TransferScheme;
 use desc_sim::SimConfig;
@@ -49,8 +48,15 @@ pub fn run(scale: &Scale) -> Table {
             )
             .l2_energy()
         } else {
-            run_custom_keyed(&format!("{name}:w64:seg{seg}"), build(name, seg), cfg, p, scale, 1.005)
-                .l2_energy()
+            run_custom_keyed(
+                &format!("{name}:w64:seg{seg}"),
+                build(name, seg),
+                cfg,
+                p,
+                scale,
+                1.005,
+            )
+            .l2_energy()
         }
     });
     let totals: Vec<f64> =

@@ -54,10 +54,8 @@ pub fn run(scale: &Scale) -> Table {
     let mut headers: Vec<&str> = vec!["App"];
     let labels: Vec<&str> = SchemeKind::ALL.iter().map(|k| k.label()).collect();
     headers.extend(labels.iter());
-    let mut t = Table::new(
-        "Fig. 16: L2 energy by transfer technique (normalised to binary)",
-        &headers,
-    );
+    let mut t =
+        Table::new("Fig. 16: L2 energy by transfer technique (normalised to binary)", &headers);
 
     let energies = energy_matrix(scale);
     let base = binary_index();

@@ -25,12 +25,7 @@ pub fn run(scale: &Scale) -> Table {
         totals.push(l2 + other);
         t.row_owned(vec![p.name.into(), r3(l2), r3(other), r3(l2 + other)]);
     }
-    t.row_owned(vec![
-        "Geomean".into(),
-        String::new(),
-        String::new(),
-        r3(geomean(&totals)),
-    ]);
+    t.row_owned(vec!["Geomean".into(), String::new(), String::new(), r3(geomean(&totals))]);
     t.note("paper: ~0.93 total (7% processor savings)");
     t
 }

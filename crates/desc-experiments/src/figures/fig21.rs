@@ -54,7 +54,9 @@ pub fn run(scale: &Scale) -> Table {
         r2(sums[2] / n),
         r2(sums[3] / n),
     ]);
-    t.note("paper: DESC adds 31.2 cycles (64-wire) / 8.45 cycles (128-wire) over same-width binary");
+    t.note(
+        "paper: DESC adds 31.2 cycles (64-wire) / 8.45 cycles (128-wire) over same-width binary",
+    );
     t
 }
 

@@ -11,17 +11,8 @@ use desc_core::{ChunkSize, TransferScheme};
 use desc_sim::SimConfig;
 
 /// Sweep points: (banks, data wires).
-pub const POINTS: [(usize, usize); 9] = [
-    (2, 64),
-    (8, 32),
-    (8, 64),
-    (8, 128),
-    (8, 256),
-    (32, 64),
-    (32, 128),
-    (2, 128),
-    (32, 256),
-];
+pub const POINTS: [(usize, usize); 9] =
+    [(2, 64), (8, 32), (8, 64), (8, 128), (8, 256), (32, 64), (32, 128), (2, 128), (32, 256)];
 
 /// Runs the experiment.
 #[must_use]
@@ -49,11 +40,7 @@ pub fn run(scale: &Scale) -> Table {
         (run.l2_energy(), run.result.exec_time_s)
     });
     let sums: Vec<(f64, f64)> = (0..configs.len())
-        .map(|c| {
-            per_app
-                .iter()
-                .fold((0.0, 0.0), |acc, row| (acc.0 + row[c].0, acc.1 + row[c].1))
-        })
+        .map(|c| per_app.iter().fold((0.0, 0.0), |acc, row| (acc.0 + row[c].0, acc.1 + row[c].1)))
         .collect();
     let base_index = configs
         .iter()
@@ -87,14 +74,10 @@ mod tests {
         let t = run(&scale);
         assert_eq!(t.row_count(), 2 * POINTS.len());
         // Best DESC energy beats best binary energy.
-        let energy = |row: usize| -> f64 {
-            t.cell(row, 3).expect("energy").parse().expect("number")
-        };
-        let best_binary =
-            (0..POINTS.len()).map(energy).fold(f64::INFINITY, f64::min);
-        let best_desc = (POINTS.len()..2 * POINTS.len())
-            .map(energy)
-            .fold(f64::INFINITY, f64::min);
+        let energy =
+            |row: usize| -> f64 { t.cell(row, 3).expect("energy").parse().expect("number") };
+        let best_binary = (0..POINTS.len()).map(energy).fold(f64::INFINITY, f64::min);
+        let best_desc = (POINTS.len()..2 * POINTS.len()).map(energy).fold(f64::INFINITY, f64::min);
         assert!(best_desc < best_binary, "DESC {best_desc} vs binary {best_binary}");
     }
 }

@@ -22,16 +22,18 @@ pub fn run(scale: &Scale) -> Table {
         let mut cfg = SimConfig::paper_multithreaded();
         cfg.l2.banks = banks;
         let overhead = if kind.is_desc() { 1.03 } else { 1.0 };
-        let run =
-            run_custom_keyed(&format!("paper:{kind:?}"), kind.build_paper_config(), cfg, p, scale, overhead);
+        let run = run_custom_keyed(
+            &format!("paper:{kind:?}"),
+            kind.build_paper_config(),
+            cfg,
+            p,
+            scale,
+            overhead,
+        );
         (run.l2_energy(), run.result.exec_time_s)
     });
     let sums: Vec<(f64, f64)> = (0..configs.len())
-        .map(|c| {
-            per_app
-                .iter()
-                .fold((0.0, 0.0), |acc, row| (acc.0 + row[c].0, acc.1 + row[c].1))
-        })
+        .map(|c| per_app.iter().fold((0.0, 0.0), |acc, row| (acc.0 + row[c].0, acc.1 + row[c].1)))
         .collect();
     let (base_e, base_x) = sums[0];
     let mut t = Table::new(

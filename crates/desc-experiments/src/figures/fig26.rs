@@ -40,16 +40,19 @@ pub fn run(scale: &Scale) -> Table {
                 ChunkSize::new(bits).expect("valid"),
                 SkipMode::Zero,
             ));
-            run_custom_keyed(&format!("desc:w{wires}:c{bits}:skip=Zero"), scheme, cfg, p, scale, 1.03)
+            run_custom_keyed(
+                &format!("desc:w{wires}:c{bits}:skip=Zero"),
+                scheme,
+                cfg,
+                p,
+                scale,
+                1.03,
+            )
         };
         (run.l2_energy(), run.result.exec_time_s)
     });
     let sums: Vec<(f64, f64)> = (0..configs.len())
-        .map(|c| {
-            per_app
-                .iter()
-                .fold((0.0, 0.0), |acc, row| (acc.0 + row[c].0, acc.1 + row[c].1))
-        })
+        .map(|c| per_app.iter().fold((0.0, 0.0), |acc, row| (acc.0 + row[c].0, acc.1 + row[c].1)))
         .collect();
     let (base_e, base_x) = sums[0];
     let mut t = Table::new(
@@ -57,12 +60,7 @@ pub fn run(scale: &Scale) -> Table {
         &["Chunk bits", "Wires", "L2 energy", "Exec time"],
     );
     for (&(bits, wires), &(e, x)) in configs.iter().zip(&sums).skip(1) {
-        t.row_owned(vec![
-            bits.to_string(),
-            wires.to_string(),
-            r2(e / base_e),
-            r2(x / base_x),
-        ]);
+        t.row_owned(vec![bits.to_string(), wires.to_string(), r2(e / base_e), r2(x / base_x)]);
     }
     t.note("paper: 4-bit chunks with 128 wires give the best L2 energy-delay product");
     t

@@ -9,16 +9,8 @@ use desc_core::schemes::SchemeKind;
 use desc_sim::SimConfig;
 
 /// Capacities swept, in bytes.
-pub const CAPACITIES: [usize; 8] = [
-    512 << 10,
-    1 << 20,
-    2 << 20,
-    4 << 20,
-    8 << 20,
-    16 << 20,
-    32 << 20,
-    64 << 20,
-];
+pub const CAPACITIES: [usize; 8] =
+    [512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20];
 
 /// Runs the experiment.
 #[must_use]
@@ -36,7 +28,15 @@ pub fn run(scale: &Scale) -> Table {
         let mut cfg = SimConfig::paper_multithreaded();
         cfg.l2.capacity_bytes = capacity;
         let overhead = if kind.is_desc() { 1.03 } else { 1.0 };
-        run_custom_keyed(&format!("paper:{kind:?}"), kind.build_paper_config(), cfg, p, scale, overhead).l2_energy()
+        run_custom_keyed(
+            &format!("paper:{kind:?}"),
+            kind.build_paper_config(),
+            cfg,
+            p,
+            scale,
+            overhead,
+        )
+        .l2_energy()
     });
     let sums: Vec<f64> =
         (0..configs.len()).map(|c| per_app.iter().map(|row| row[c]).sum()).collect();
@@ -52,11 +52,8 @@ pub fn run(scale: &Scale) -> Table {
     for (i, cap) in CAPACITIES.into_iter().enumerate() {
         let bin = sums[2 * i] / base;
         let desc = sums[2 * i + 1] / base;
-        let label = if cap >= 1 << 20 {
-            format!("{}MB", cap >> 20)
-        } else {
-            format!("{}KB", cap >> 10)
-        };
+        let label =
+            if cap >= 1 << 20 { format!("{}MB", cap >> 20) } else { format!("{}KB", cap >> 10) };
         t.row_owned(vec![label, r2(bin), r2(desc), format!("{:.2}x", bin / desc)]);
     }
     t.note("paper: improvement 1.87x at 512KB tapering to 1.75x at 64MB");

@@ -24,7 +24,9 @@ pub fn build_config(name: &str) -> Box<dyn TransferScheme> {
     let c4 = ChunkSize::PAPER_DEFAULT;
     match name {
         // 512 data + 64 parity bits over 64 + 8 wires.
-        "64-64 Binary" => Box::new(SecdedScheme::new(BinaryScheme::new(72), SecdedCode::c72_64(), 8)),
+        "64-64 Binary" => {
+            Box::new(SecdedScheme::new(BinaryScheme::new(72), SecdedCode::c72_64(), 8))
+        }
         // 512 + 36 bits over 128 + 9 wires.
         "128-128 Binary" => {
             Box::new(SecdedScheme::new(BinaryScheme::new(137), SecdedCode::c137_128(), 4))
@@ -53,7 +55,8 @@ pub fn measure(scale: &Scale) -> Vec<(String, [f64; 4], [f64; 4])> {
     let suite = scale.suite();
     let per_app = run_matrix(&CONFIGS, &suite, scale, |name, p| {
         let overhead = if name.contains("DESC") { 1.03 } else { 1.0 };
-        let run = run_custom_keyed(&format!("ecc:{name}"), build_config(name), cfg, p, scale, overhead);
+        let run =
+            run_custom_keyed(&format!("ecc:{name}"), build_config(name), cfg, p, scale, overhead);
         (run.result.exec_time_s, run.l2_energy())
     });
     suite

@@ -21,7 +21,16 @@ pub fn run(scale: &Scale) -> Table {
     let kinds = [SchemeKind::ConventionalBinary, SchemeKind::ZeroSkippedDesc];
     let per_app = run_matrix(&kinds, &apps, scale, |&kind, p| {
         let overhead = if kind.is_desc() { 1.03 } else { 1.0 };
-        run_custom_keyed(&format!("paper:{kind:?}"), kind.build_paper_config(), cfg, p, scale, overhead).result.exec_time_s
+        run_custom_keyed(
+            &format!("paper:{kind:?}"),
+            kind.build_paper_config(),
+            cfg,
+            p,
+            scale,
+            overhead,
+        )
+        .result
+        .exec_time_s
     });
     let mut ratios = Vec::new();
     for (p, row) in apps.iter().zip(&per_app) {

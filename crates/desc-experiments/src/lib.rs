@@ -30,10 +30,36 @@ pub use table::Table;
 #[must_use]
 pub fn experiment_names() -> Vec<&'static str> {
     vec![
-        "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig5", "fig12", "fig13", "fig14",
-        "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24",
-        "fig25", "fig26", "fig27", "fig28", "fig29", "fig30", "abl-sync",
-        "abl-adaptive", "abl-count-list", "abl-low-swing",
+        "table1",
+        "table2",
+        "table3",
+        "fig1",
+        "fig2",
+        "fig3",
+        "fig5",
+        "fig12",
+        "fig13",
+        "fig14",
+        "fig15",
+        "fig16",
+        "fig17",
+        "fig18",
+        "fig19",
+        "fig20",
+        "fig21",
+        "fig22",
+        "fig23",
+        "fig24",
+        "fig25",
+        "fig26",
+        "fig27",
+        "fig28",
+        "fig29",
+        "fig30",
+        "abl-sync",
+        "abl-adaptive",
+        "abl-count-list",
+        "abl-low-swing",
     ]
 }
 

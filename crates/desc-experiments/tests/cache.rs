@@ -67,8 +67,17 @@ fn warm_rerun_in_a_new_process_is_byte_identical_and_fully_served_from_cache() {
     let experiments = ["fig16", "fig23", "fig24"];
 
     let mut cold_args = vec![
-        "--tiny", "--csv", "--quiet", "--jobs", "4", "--shards", "2", "--cache-dir", cache_arg,
-        "--report", cold_report.to_str().expect("utf-8 path"),
+        "--tiny",
+        "--csv",
+        "--quiet",
+        "--jobs",
+        "4",
+        "--shards",
+        "2",
+        "--cache-dir",
+        cache_arg,
+        "--report",
+        cold_report.to_str().expect("utf-8 path"),
     ];
     cold_args.extend(experiments);
     let cold = repro(&cold_args);
@@ -81,8 +90,17 @@ fn warm_rerun_in_a_new_process_is_byte_identical_and_fully_served_from_cache() {
     // New process, different pool shape: every cell must be a hit and
     // every output byte must match.
     let mut warm_args = vec![
-        "--tiny", "--csv", "--quiet", "--jobs", "1", "--shards", "1", "--cache-dir", cache_arg,
-        "--report", warm_report.to_str().expect("utf-8 path"),
+        "--tiny",
+        "--csv",
+        "--quiet",
+        "--jobs",
+        "1",
+        "--shards",
+        "1",
+        "--cache-dir",
+        cache_arg,
+        "--report",
+        warm_report.to_str().expect("utf-8 path"),
     ];
     warm_args.extend(experiments);
     let warm = repro(&warm_args);
@@ -106,8 +124,16 @@ fn warm_rerun_in_a_new_process_is_byte_identical_and_fully_served_from_cache() {
     // Any field change changes the key: a different seed shares no cells.
     let reseeded_report = dir.join("reseeded.json");
     let reseeded = repro(&[
-        "--tiny", "--csv", "--quiet", "--seed", "999", "--cache-dir", cache_arg, "--report",
-        reseeded_report.to_str().expect("utf-8 path"), "fig16",
+        "--tiny",
+        "--csv",
+        "--quiet",
+        "--seed",
+        "999",
+        "--cache-dir",
+        cache_arg,
+        "--report",
+        reseeded_report.to_str().expect("utf-8 path"),
+        "fig16",
     ]);
     assert!(reseeded.status.success(), "reseeded run failed: {reseeded:?}");
     let reseeded_stats = cache_stanza(&reseeded_report);
@@ -138,8 +164,15 @@ fn killed_run_reruns_without_recomputing_stored_cells() {
     let killed_report = dir.join("killed.json");
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args([
-            "--tiny", "--csv", "--quiet", "--cache-dir", cache_arg, "--report",
-            killed_report.to_str().expect("utf-8 path"), "fig16", "fig22",
+            "--tiny",
+            "--csv",
+            "--quiet",
+            "--cache-dir",
+            cache_arg,
+            "--report",
+            killed_report.to_str().expect("utf-8 path"),
+            "fig16",
+            "fig22",
         ])
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -158,8 +191,15 @@ fn killed_run_reruns_without_recomputing_stored_cells() {
 
     let rerun_report = dir.join("rerun.json");
     let rerun = repro(&[
-        "--tiny", "--csv", "--quiet", "--cache-dir", cache_arg, "--report",
-        rerun_report.to_str().expect("utf-8 path"), "fig16", "fig22",
+        "--tiny",
+        "--csv",
+        "--quiet",
+        "--cache-dir",
+        cache_arg,
+        "--report",
+        rerun_report.to_str().expect("utf-8 path"),
+        "fig16",
+        "fig22",
     ]);
     assert!(rerun.status.success(), "rerun failed: {rerun:?}");
     assert_eq!(reference.stdout, rerun.stdout, "rerun CSV diverged from uncached reference");
@@ -206,8 +246,14 @@ fn version_mismatched_entry_warns_recomputes_and_never_changes_the_figure() {
 
     let warm_report = dir.join("warm.json");
     let warm = repro(&[
-        "--tiny", "--csv", "--quiet", "--cache-dir", cache_arg, "--report",
-        warm_report.to_str().expect("utf-8 path"), "fig16",
+        "--tiny",
+        "--csv",
+        "--quiet",
+        "--cache-dir",
+        cache_arg,
+        "--report",
+        warm_report.to_str().expect("utf-8 path"),
+        "fig16",
     ]);
     assert!(warm.status.success(), "version mismatch must not fail the run: {warm:?}");
     assert_eq!(cold.stdout, warm.stdout, "a mismatched entry changed figure output");

@@ -33,7 +33,7 @@ fn bad_arguments_exit_2_with_a_stderr_line() {
         &["--shards", "zero", "fig13"],
         &["--report"],
         &["--trace"],
-        &["--cache-dir"],           // missing value
+        &["--cache-dir"], // missing value
         &["--cache-dir", "", "fig13"],
         &["--resume", "--cache-dir", "/tmp", "fig13"], // removed flags
         &["--no-cache", "fig13"],
@@ -113,9 +113,8 @@ fn trace_and_report_artifacts_are_valid_and_csv_is_bit_exact_across_pool_shapes(
     assert!(!base.stdout.is_empty());
 
     // Fanned out, untraced: identical CSV bytes.
-    let fanned = repro(&[
-        "--tiny", "--csv", "--quiet", "--jobs", "4", "--shards", "2", "fig16", "fig23",
-    ]);
+    let fanned =
+        repro(&["--tiny", "--csv", "--quiet", "--jobs", "4", "--shards", "2", "fig16", "fig23"]);
     assert!(fanned.status.success());
     assert_eq!(
         base.stdout, fanned.stdout,
@@ -165,8 +164,7 @@ fn trace_and_report_artifacts_are_valid_and_csv_is_bit_exact_across_pool_shapes(
     for family in ["experiment", "cell", "region", "partition"] {
         assert!(
             xs.iter().any(|x| {
-                x.get("args").and_then(|a| a.get("family")).and_then(Json::as_str)
-                    == Some(family)
+                x.get("args").and_then(|a| a.get("family")).and_then(Json::as_str) == Some(family)
             }),
             "no {family} events in the trace"
         );

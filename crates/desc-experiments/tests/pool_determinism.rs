@@ -15,10 +15,7 @@ use std::process::Command;
 const COMBOS: [(&str, &str); 3] = [("1", "1"), ("4", "2"), ("2", "8")];
 
 fn repro(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("spawn repro");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("spawn repro");
     assert!(
         out.status.success(),
         "repro {args:?} failed: {}",
@@ -38,10 +35,7 @@ fn figure_csvs_identical_across_pool_shapes() {
         match &baseline {
             None => baseline = Some(csv),
             Some(expected) => {
-                assert_eq!(
-                    expected, &csv,
-                    "figure CSVs diverged at jobs={jobs} shards={shards}"
-                );
+                assert_eq!(expected, &csv, "figure CSVs diverged at jobs={jobs} shards={shards}");
             }
         }
     }

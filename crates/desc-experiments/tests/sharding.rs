@@ -58,15 +58,11 @@ fn figure_bytes_and_report_metrics_are_shard_invariant() {
     );
     for shards in [2, 8] {
         let (renders, metrics) = report_for(&experiments, shards, &scale);
-        for (name, (serial, sharded)) in
-            experiments.iter().zip(serial_renders.iter().zip(&renders))
+        for (name, (serial, sharded)) in experiments.iter().zip(serial_renders.iter().zip(&renders))
         {
             assert_eq!(serial, sharded, "{name} output diverged at --shards {shards}");
         }
-        assert_eq!(
-            serial_metrics, metrics,
-            "run-report metrics diverged at --shards {shards}"
-        );
+        assert_eq!(serial_metrics, metrics, "run-report metrics diverged at --shards {shards}");
     }
     desc_telemetry::set_enabled(false);
     desc_telemetry::global().reset_all();

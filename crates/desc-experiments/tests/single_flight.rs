@@ -121,9 +121,11 @@ fn undecodable_disk_entry_recomputes_and_overwrites_instead_of_looping() {
     // Plant the poisoned object with a throwaway store, then reopen so
     // the hot tier is cold and the demand takes the disk-read path the
     // infinite loop lived on.
-    CacheStore::open(&dir, CELL_SCHEMA_VERSION)
-        .unwrap()
-        .store(&key, b"not an app run".to_vec(), None);
+    CacheStore::open(&dir, CELL_SCHEMA_VERSION).unwrap().store(
+        &key,
+        b"not an app run".to_vec(),
+        None,
+    );
     let store = Arc::new(CacheStore::open(&dir, CELL_SCHEMA_VERSION).unwrap());
     cache::install(Some(Arc::clone(&store)));
     let bytes = run_cell();

@@ -167,7 +167,8 @@ mod tests {
     fn niagara_l2_fraction_is_near_15_percent() {
         // Paper Fig. 1 geomean anchor. 50 ms of 8 cores at 3.2 GHz and
         // IPC ≈ 0.9 → ~1.15e9 instructions.
-        let e = ProcessorConfig::niagara_like().roll_up(1_150_000_000, 0.05, l2_sample(), 4_000_000);
+        let e =
+            ProcessorConfig::niagara_like().roll_up(1_150_000_000, 0.05, l2_sample(), 4_000_000);
         let f = e.l2_fraction();
         assert!((0.10..=0.22).contains(&f), "L2 fraction {f:.3}, paper ≈0.15");
     }

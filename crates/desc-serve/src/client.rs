@@ -69,9 +69,7 @@ impl RunRequest {
             "experiments",
             match &self.experiments {
                 None => Json::Str("all".to_owned()),
-                Some(names) => {
-                    Json::Arr(names.iter().map(|n| Json::Str(n.clone())).collect())
-                }
+                Some(names) => Json::Arr(names.iter().map(|n| Json::Str(n.clone())).collect()),
             },
         );
         let mut scale = Json::obj();
@@ -159,13 +157,10 @@ impl Client {
     }
 
     fn read_reply(&mut self) -> std::io::Result<Json> {
-        let payload = frame::read_frame(&mut self.stream).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-        })?;
-        let text = std::str::from_utf8(&payload).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-        })?;
-        Json::parse(text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        let payload = frame::read_frame(&mut self.stream)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let text = std::str::from_utf8(&payload)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        Json::parse(text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }

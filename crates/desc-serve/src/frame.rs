@@ -94,9 +94,7 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<(
             format!("frame of {} bytes exceeds the {MAX_FRAME}-byte limit", payload.len()),
         ));
     }
-    let prefix = u32::try_from(payload.len())
-        .expect("MAX_FRAME fits in u32")
-        .to_be_bytes();
+    let prefix = u32::try_from(payload.len()).expect("MAX_FRAME fits in u32").to_be_bytes();
     let mut frame = Vec::with_capacity(prefix.len() + payload.len());
     frame.extend_from_slice(&prefix);
     frame.extend_from_slice(payload);

@@ -319,11 +319,10 @@ impl Shared {
     /// land a sample instead of overwriting each other.
     fn note_service_ms(&self, elapsed_ms: u64) {
         let sample = elapsed_ms.max(1);
-        let folded = self.service_ewma_ms.fetch_update(
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-            |old| Some(if old == 0 { sample } else { (old * 7 + sample) / 8 }),
-        );
+        let folded =
+            self.service_ewma_ms.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+                Some(if old == 0 { sample } else { (old * 7 + sample) / 8 })
+            });
         debug_assert!(folded.is_ok(), "fetch_update with Some never fails");
     }
 
@@ -597,10 +596,7 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
             return proto::error(
                 &request.id,
                 ErrorCode::Deadline,
-                &format!(
-                    "deadline of {} ms elapsed while queued",
-                    deadline_ms.unwrap_or_default()
-                ),
+                &format!("deadline of {} ms elapsed while queued", deadline_ms.unwrap_or_default()),
                 None,
             );
         }

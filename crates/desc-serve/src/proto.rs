@@ -105,11 +105,7 @@ pub struct Request {
 
 /// Reads an optional non-negative integer field, rejecting zero when
 /// `nonzero` and anything non-numeric.
-fn opt_uint(
-    obj: &Json,
-    key: &str,
-    nonzero: bool,
-) -> Result<Option<u64>, String> {
+fn opt_uint(obj: &Json, key: &str, nonzero: bool) -> Result<Option<u64>, String> {
     match obj.get(key) {
         None => Ok(None),
         Some(v) => match v.as_u64() {
@@ -145,28 +141,22 @@ impl Request {
         };
         let id = match json.get("id") {
             None => String::new(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| "`id` must be a string".to_owned())?
-                .to_owned(),
+            Some(v) => v.as_str().ok_or_else(|| "`id` must be a string".to_owned())?.to_owned(),
         };
         let client = match json.get("client") {
             None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| "`client` must be a string".to_owned())?
-                    .to_owned(),
-            ),
+            Some(v) => {
+                Some(v.as_str().ok_or_else(|| "`client` must be a string".to_owned())?.to_owned())
+            }
         };
         let experiments = match json.get("experiments") {
             None if op == Op::Run => {
                 return Err("`op: run` requires `experiments` (a name list or \"all\")".to_owned())
             }
             None => Vec::new(),
-            Some(Json::Str(s)) if s == "all" => desc_experiments::experiment_names()
-                .iter()
-                .map(|&n| n.to_owned())
-                .collect(),
+            Some(Json::Str(s)) if s == "all" => {
+                desc_experiments::experiment_names().iter().map(|&n| n.to_owned()).collect()
+            }
             Some(Json::Arr(items)) if !items.is_empty() => {
                 let mut names = Vec::with_capacity(items.len());
                 for item in items {
@@ -316,10 +306,8 @@ mod tests {
 
     #[test]
     fn parses_a_minimal_run_request() {
-        let req = parse(
-            r#"{"schema":"desc-run-request/v1","op":"run","experiments":["fig16"]}"#,
-        )
-        .unwrap();
+        let req = parse(r#"{"schema":"desc-run-request/v1","op":"run","experiments":["fig16"]}"#)
+            .unwrap();
         assert_eq!(req.op, Op::Run);
         assert_eq!(req.experiments, ["fig16"]);
         assert_eq!(req.preset, "tiny");
@@ -339,10 +327,8 @@ mod tests {
 
     #[test]
     fn expands_all_to_every_experiment() {
-        let req = parse(
-            r#"{"schema":"desc-run-request/v1","op":"run","experiments":"all"}"#,
-        )
-        .unwrap();
+        let req =
+            parse(r#"{"schema":"desc-run-request/v1","op":"run","experiments":"all"}"#).unwrap();
         assert_eq!(req.experiments.len(), desc_experiments::experiment_names().len());
     }
 
@@ -353,10 +339,7 @@ mod tests {
             (r#"{"schema":"desc-run-request/v2","op":"run"}"#, "unsupported schema"),
             (r#"{"schema":"desc-run-request/v1","op":"dance"}"#, "unknown op"),
             (r#"{"schema":"desc-run-request/v1","op":"run"}"#, "experiments"),
-            (
-                r#"{"schema":"desc-run-request/v1","op":"run","experiments":[]}"#,
-                "experiments",
-            ),
+            (r#"{"schema":"desc-run-request/v1","op":"run","experiments":[]}"#, "experiments"),
             (
                 r#"{"schema":"desc-run-request/v1","op":"run","experiments":["fig16"],"scale":{"apps":17}}"#,
                 "apps",
@@ -389,8 +372,7 @@ mod tests {
         assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
         let code = err.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
         assert_eq!(code, Some("busy"));
-        let retry =
-            err.get("error").and_then(|e| e.get("retry_after_ms")).and_then(Json::as_u64);
+        let retry = err.get("error").and_then(|e| e.get("retry_after_ms")).and_then(Json::as_u64);
         assert_eq!(retry, Some(250));
     }
 }

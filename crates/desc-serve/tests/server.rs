@@ -13,9 +13,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A scratch directory unique to this test process + tag, recreated
@@ -30,8 +28,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// handle for [`Server::run`].
 fn start_server(
     config: ServeConfig,
-) -> (std::net::SocketAddr, std::thread::JoinHandle<std::io::Result<desc_telemetry::ServeReport>>)
-{
+) -> (std::net::SocketAddr, std::thread::JoinHandle<std::io::Result<desc_telemetry::ServeReport>>) {
     let server = Server::bind(config).expect("bind on loopback");
     let addr = server.local_addr();
     (addr, std::thread::spawn(move || server.run()))
@@ -105,19 +102,15 @@ fn concurrent_clients_match_repro_metrics_and_share_the_cache() {
     );
     desc_experiments::cache::install(Some(Arc::clone(&store)));
 
-    let (addr, server) = start_server(ServeConfig {
-        workers: 4,
-        queue: 8,
-        ..ServeConfig::default()
-    });
+    let (addr, server) =
+        start_server(ServeConfig { workers: 4, queue: 8, ..ServeConfig::default() });
 
     // One warm-up request populates the store, so the concurrent
     // round below deterministically hits the shared hot map instead
     // of racing all clients through the same cold cells in lockstep.
     {
         let mut warm = Client::connect(addr).expect("warm-up client");
-        let reply =
-            warm.request(&tiny_request("warm-up").to_json()).expect("warm-up round-trip");
+        let reply = warm.request(&tiny_request("warm-up").to_json()).expect("warm-up round-trip");
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"));
         let metrics = reply
             .get("report")
@@ -149,15 +142,9 @@ fn concurrent_clients_match_repro_metrics_and_share_the_cache() {
             "client {i}: {}",
             reply.to_pretty()
         );
-        assert_eq!(
-            reply.get("id").and_then(Json::as_str),
-            Some(format!("client-{i}").as_str())
-        );
+        assert_eq!(reply.get("id").and_then(Json::as_str), Some(format!("client-{i}").as_str()));
         let report = reply.get("report").expect("ok run embeds a report");
-        assert_eq!(
-            report.get("schema").and_then(Json::as_str),
-            Some("desc-run-report/v1")
-        );
+        assert_eq!(report.get("schema").and_then(Json::as_str), Some("desc-run-report/v1"));
         let metrics = report.get("metrics").expect("report has metrics").to_pretty();
         assert_eq!(
             metrics, expected,
@@ -195,9 +182,8 @@ fn concurrent_clients_match_repro_metrics_and_share_the_cache() {
     // Drained, not lost: every completed cell survived to the store
     // of record and a fresh process can serve them.
     desc_experiments::cache::install(None);
-    let reopened =
-        desc_cache::CacheStore::open(&dir, desc_experiments::cache::CELL_SCHEMA_VERSION)
-            .expect("reopen store after drain");
+    let reopened = desc_cache::CacheStore::open(&dir, desc_experiments::cache::CELL_SCHEMA_VERSION)
+        .expect("reopen store after drain");
     assert!(reopened.manifest_cells() > 0, "completed cells must survive shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -207,11 +193,8 @@ fn concurrent_duplicate_requests_compute_each_cold_cell_exactly_once() {
     let _guard = serialize();
     let expected = expected_metrics();
     let version = desc_experiments::cache::CELL_SCHEMA_VERSION;
-    let (addr, server) = start_server(ServeConfig {
-        workers: 4,
-        queue: 8,
-        ..ServeConfig::default()
-    });
+    let (addr, server) =
+        start_server(ServeConfig { workers: 4, queue: 8, ..ServeConfig::default() });
 
     // Serial reference: one request against a fresh store records how
     // many distinct cells the sweep has (every store is one cell).
@@ -240,12 +223,7 @@ fn concurrent_duplicate_requests_compute_each_cold_cell_exactly_once() {
     let mut shared_cells = 0;
     for handle in clients {
         let reply = handle.join().expect("client thread");
-        assert_eq!(
-            reply.get("status").and_then(Json::as_str),
-            Some("ok"),
-            "{}",
-            reply.to_pretty()
-        );
+        assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"), "{}", reply.to_pretty());
         let metrics = reply
             .get("report")
             .and_then(|r| r.get("metrics"))
@@ -285,10 +263,7 @@ fn a_small_request_completes_while_a_large_sweep_is_in_flight() {
     let _guard = serialize();
     let version = desc_experiments::cache::CELL_SCHEMA_VERSION;
     desc_experiments::cache::install(Some(Arc::new(desc_cache::CacheStore::in_memory(version))));
-    let (addr, server) = start_server(ServeConfig {
-        workers: 2,
-        ..ServeConfig::default()
-    });
+    let (addr, server) = start_server(ServeConfig { workers: 2, ..ServeConfig::default() });
 
     // A deliberately large sweep (~20x the probe) under its own client
     // identity.
@@ -326,12 +301,7 @@ fn a_small_request_completes_while_a_large_sweep_is_in_flight() {
         ..RunRequest::new(&["fig16"], "tiny")
     };
     let reply = c.request(&request.to_json()).expect("probe round-trip");
-    assert_eq!(
-        reply.get("status").and_then(Json::as_str),
-        Some("ok"),
-        "{}",
-        reply.to_pretty()
-    );
+    assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"), "{}", reply.to_pretty());
     assert!(
         !sweep.is_finished(),
         "the probe must complete while the large sweep is still in flight"
@@ -424,19 +394,13 @@ fn deadline_exceeded_cancels_the_run_and_reports_it() {
     // 1 ms cannot cover even one tiny cell. `jobs: 1` keeps the cells
     // serial, so the expiry is observed at a between-cell check rather
     // than racing a burst of parallel task claims.
-    let request = RunRequest {
-        deadline_ms: Some(1),
-        jobs: Some(1),
-        ..RunRequest::new(&["fig16"], "tiny")
-    };
+    let request =
+        RunRequest { deadline_ms: Some(1), jobs: Some(1), ..RunRequest::new(&["fig16"], "tiny") };
     let reply = c.request(&request.to_json()).expect("deadline round-trip");
     assert_eq!(reply.get("status").and_then(Json::as_str), Some("error"));
     let err = reply.get("error").expect("error body");
     assert_eq!(err.get("code").and_then(Json::as_str), Some("deadline"));
-    assert!(err
-        .get("message")
-        .and_then(Json::as_str)
-        .is_some_and(|m| m.contains("deadline")));
+    assert!(err.get("message").and_then(Json::as_str).is_some_and(|m| m.contains("deadline")));
 
     // The failure is accounted and the server still takes work: the
     // same connection immediately runs the same cells undeadlined.
@@ -467,10 +431,7 @@ fn tables_render_like_repro_and_csv_like_repro_csv() {
 
     let (addr, server) = start_server(ServeConfig::default());
     let mut c = Client::connect(addr).expect("client connects");
-    let request = RunRequest {
-        tables: Tables::Text,
-        ..tiny_request("tables-text")
-    };
+    let request = RunRequest { tables: Tables::Text, ..tiny_request("tables-text") };
     let reply = c.request(&request.to_json()).expect("run round-trip");
     let tables = reply.get("tables").expect("tables requested");
     assert_eq!(
@@ -479,10 +440,7 @@ fn tables_render_like_repro_and_csv_like_repro_csv() {
         "text tables must match Table::render"
     );
 
-    let request = RunRequest {
-        tables: Tables::Csv,
-        ..tiny_request("tables-csv")
-    };
+    let request = RunRequest { tables: Tables::Csv, ..tiny_request("tables-csv") };
     let reply = c.request(&request.to_json()).expect("csv round-trip");
     let tables = reply.get("tables").expect("tables requested");
     assert_eq!(
@@ -501,14 +459,7 @@ fn serve_binary_listens_answers_and_drains_clean() {
     let dir = scratch_dir("bin");
     use std::io::BufRead;
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--cache-dir",
-            dir.to_str().unwrap(),
-        ])
+        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--cache-dir", dir.to_str().unwrap()])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -516,10 +467,7 @@ fn serve_binary_listens_answers_and_drains_clean() {
 
     let stdout = child.stdout.take().expect("piped stdout");
     let mut lines = std::io::BufReader::new(stdout).lines();
-    let banner = lines
-        .next()
-        .expect("serve prints a listening line")
-        .expect("readable stdout");
+    let banner = lines.next().expect("serve prints a listening line").expect("readable stdout");
     let addr = banner
         .strip_prefix("serve: listening on ")
         .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
@@ -530,12 +478,7 @@ fn serve_binary_listens_answers_and_drains_clean() {
     assert_eq!(pong.get("status").and_then(Json::as_str), Some("ok"));
 
     let reply = c.request(&tiny_request("bin-run").to_json()).expect("run on binary");
-    assert_eq!(
-        reply.get("status").and_then(Json::as_str),
-        Some("ok"),
-        "{}",
-        reply.to_pretty()
-    );
+    assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"), "{}", reply.to_pretty());
     // The binary installed the store: the run's report carries the
     // cache stanza with stores recorded.
     let cache = reply.get("report").and_then(|r| r.get("cache")).expect("cache stanza");
@@ -565,12 +508,7 @@ fn round_trips_cost_the_work_not_a_tcp_timer() {
             .expect("send request");
         let reply = desc_serve::frame::read_frame(&mut stream).expect("read reply");
         let reply = Json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
-        assert_eq!(
-            reply.get("status").and_then(Json::as_str),
-            Some("ok"),
-            "{}",
-            reply.to_pretty()
-        );
+        assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"), "{}", reply.to_pretty());
     };
     let run = tiny_request("warm").to_json();
     // Untimed: fills the hot tier so the timed runs are warm.

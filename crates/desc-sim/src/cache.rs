@@ -187,13 +187,7 @@ impl SetAssocCache {
             .min_by_key(|l| if l.valid { l.stamp } else { 0 })
             .expect("sets are non-empty");
         let writeback = victim.valid && victim.dirty;
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            stamp: self.clock,
-            sharers: 1 << core,
-        };
+        *victim = Line { tag, valid: true, dirty: write, stamp: self.clock, sharers: 1 << core };
         CacheOutcome::Miss { writeback }
     }
 

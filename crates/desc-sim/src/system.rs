@@ -507,7 +507,11 @@ impl SystemSim {
             misses,
             writebacks,
             invalidations,
-            avg_hit_latency_cycles: if hits > 0 { hit_latency_sum as f64 / hits as f64 } else { 0.0 },
+            avg_hit_latency_cycles: if hits > 0 {
+                hit_latency_sum as f64 / hits as f64
+            } else {
+                0.0
+            },
             avg_access_latency_cycles: latency_sum as f64 / accesses as f64,
             exec_cycles,
             exec_time_s,
@@ -555,8 +559,7 @@ mod tests {
         let bin = quick(SchemeKind::ConventionalBinary, BenchmarkId::Swim, 10_000);
         let desc = quick(SchemeKind::ZeroSkippedDesc, BenchmarkId::Swim, 10_000);
         assert!(
-            (desc.activity.htree_transitions as f64)
-                < 0.8 * bin.activity.htree_transitions as f64,
+            (desc.activity.htree_transitions as f64) < 0.8 * bin.activity.htree_transitions as f64,
             "DESC {} vs binary {}",
             desc.activity.htree_transitions,
             bin.activity.htree_transitions
@@ -594,11 +597,7 @@ mod tests {
         // LU fits in 8 MB (2 MB footprint) → low miss rate; MCF's
         // 64 MB streaming footprint → high miss rate.
         let lu = quick(SchemeKind::ConventionalBinary, BenchmarkId::Lu, 20_000);
-        let sim = SystemSim::new(
-            SimConfig::paper_out_of_order(),
-            BenchmarkId::Mcf.profile(),
-            7,
-        );
+        let sim = SystemSim::new(SimConfig::paper_out_of_order(), BenchmarkId::Mcf.profile(), 7);
         let mcf = sim.run(SchemeKind::ConventionalBinary.build_paper_config(), 20_000);
         assert!(lu.miss_rate() < 0.25, "LU miss rate {:.3}", lu.miss_rate());
         assert!(mcf.miss_rate() > 0.3, "MCF miss rate {:.3}", mcf.miss_rate());
@@ -638,7 +637,11 @@ mod tests {
         // both machine models and for stateful (last-value) schemes.
         desc_exec::configure(4);
         for (mk, kind, seed) in [
-            (SimConfig::paper_multithreaded as fn() -> SimConfig, SchemeKind::ZeroSkippedDesc, 2013u64),
+            (
+                SimConfig::paper_multithreaded as fn() -> SimConfig,
+                SchemeKind::ZeroSkippedDesc,
+                2013u64,
+            ),
             (SimConfig::paper_out_of_order, SchemeKind::LastValueSkippedDesc, 99),
         ] {
             let serial = {

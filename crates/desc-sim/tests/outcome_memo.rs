@@ -70,9 +70,15 @@ fn concurrent_cells_share_a_stream_without_deadlock_at_any_shard_cap() {
                 let kind = kinds[i % kinds.len()];
                 let profile = BenchmarkId::Fft.profile();
                 if i < kinds.len() {
-                    format!("{:?}", SystemSim::new(cfg, profile, seed).run(kind.build_paper_config(), 2_000))
+                    format!(
+                        "{:?}",
+                        SystemSim::new(cfg, profile, seed).run(kind.build_paper_config(), 2_000)
+                    )
                 } else {
-                    format!("{:?}", SnucaSim::new(cfg, profile, seed).run(kind.build_paper_config(), 2_000))
+                    format!(
+                        "{:?}",
+                        SnucaSim::new(cfg, profile, seed).run(kind.build_paper_config(), 2_000)
+                    )
                 }
             })
         };

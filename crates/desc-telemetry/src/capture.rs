@@ -91,9 +91,8 @@ impl CaptureSink {
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().expect("capture sink poisoned");
-        let mut metrics = Vec::with_capacity(
-            inner.counters.len() + inner.gauges.len() + inner.histograms.len(),
-        );
+        let mut metrics =
+            Vec::with_capacity(inner.counters.len() + inner.gauges.len() + inner.histograms.len());
         for (name, &v) in &inner.counters {
             metrics.push((name.clone(), MetricValue::Counter(v)));
         }
@@ -103,11 +102,7 @@ impl CaptureSink {
         for (name, h) in &inner.histograms {
             metrics.push((
                 name.clone(),
-                MetricValue::Histogram {
-                    count: h.count,
-                    sum: h.sum,
-                    buckets: Box::new(h.buckets),
-                },
+                MetricValue::Histogram { count: h.count, sum: h.sum, buckets: Box::new(h.buckets) },
             ));
         }
         metrics.sort_by(|a, b| a.0.cmp(&b.0));
@@ -135,7 +130,10 @@ impl CaptureSink {
                 MetricValue::Counter(n) => self.add_counter(name, *n),
                 MetricValue::Gauge(v) => self.gauge_max(name, *v),
                 MetricValue::Histogram { count, sum, buckets } => {
-                    self.hist_parts(name, &HistCap { count: *count, sum: *sum, buckets: **buckets });
+                    self.hist_parts(
+                        name,
+                        &HistCap { count: *count, sum: *sum, buckets: **buckets },
+                    );
                 }
             }
         }

@@ -93,11 +93,7 @@ fn meta_event(kind: &str, tid: u32, name: &str) -> Json {
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
-pub fn write_chrome_trace(
-    path: &Path,
-    process_name: &str,
-    spans: &[Span],
-) -> std::io::Result<()> {
+pub fn write_chrome_trace(path: &Path, process_name: &str, spans: &[Span]) -> std::io::Result<()> {
     let doc = chrome_trace(process_name, &crate::worker_names(), spans);
     std::fs::write(path, doc.to_pretty())
 }

@@ -387,9 +387,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Ok(Json::Int(i));
         }
     }
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number at byte {start}"))
+    text.parse::<f64>().map(Json::Num).map_err(|_| format!("invalid number at byte {start}"))
 }
 
 #[cfg(test)]

@@ -95,8 +95,7 @@ pub fn global() -> &'static Registry {
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
-        static CELL: ::std::sync::OnceLock<&'static $crate::Counter> =
-            ::std::sync::OnceLock::new();
+        static CELL: ::std::sync::OnceLock<&'static $crate::Counter> = ::std::sync::OnceLock::new();
         *CELL.get_or_init(|| $crate::global().counter($name))
     }};
 }
@@ -106,8 +105,7 @@ macro_rules! counter {
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
-        static CELL: ::std::sync::OnceLock<&'static $crate::Gauge> =
-            ::std::sync::OnceLock::new();
+        static CELL: ::std::sync::OnceLock<&'static $crate::Gauge> = ::std::sync::OnceLock::new();
         *CELL.get_or_init(|| $crate::global().gauge($name))
     }};
 }

@@ -241,7 +241,12 @@ impl Histogram {
     /// the direct run would.
     pub fn merge(&self, local: &LocalHistogram) {
         if !self.name.is_empty() {
-            crate::capture::mirror_histogram_parts(self.name, local.count, local.sum, &local.buckets);
+            crate::capture::mirror_histogram_parts(
+                self.name,
+                local.count,
+                local.sum,
+                &local.buckets,
+            );
         }
         if local.count == 0 {
             return;
@@ -337,7 +342,11 @@ mod tests {
         let mut right = LocalHistogram::new();
         for v in [0u64, 1, 5, 9, 1000, u64::MAX] {
             whole.record(v);
-            if v % 2 == 0 { left.record(v) } else { right.record(v) }
+            if v % 2 == 0 {
+                left.record(v)
+            } else {
+                right.record(v)
+            }
         }
         let mut merged = LocalHistogram::new();
         merged.absorb(&left);

@@ -326,10 +326,8 @@ impl Report {
     /// Serializes the report to the v1 JSON schema.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let timestamp = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
+        let timestamp =
+            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
         let meta = Json::obj()
             .with("tool", Json::Str(self.meta.tool.clone()))
             .with("version", Json::Str(self.meta.version.clone()))
@@ -394,12 +392,12 @@ impl Report {
 
 fn metric_to_json(value: &MetricValue) -> Json {
     match value {
-        MetricValue::Counter(v) => Json::obj()
-            .with("type", Json::Str("counter".to_owned()))
-            .with("value", Json::UInt(*v)),
-        MetricValue::Gauge(v) => Json::obj()
-            .with("type", Json::Str("gauge".to_owned()))
-            .with("value", Json::UInt(*v)),
+        MetricValue::Counter(v) => {
+            Json::obj().with("type", Json::Str("counter".to_owned())).with("value", Json::UInt(*v))
+        }
+        MetricValue::Gauge(v) => {
+            Json::obj().with("type", Json::Str("gauge".to_owned())).with("value", Json::UInt(*v))
+        }
         MetricValue::Histogram { count, sum, buckets } => {
             let mut sparse = Json::obj();
             for (i, &n) in buckets.iter().enumerate() {
@@ -523,7 +521,10 @@ mod tests {
             .and_then(Json::as_f64)
             .expect("busy fraction");
         assert!((busy - 0.5).abs() < 1e-9);
-        assert_eq!(back.get("meta").and_then(|m| m.get("spans_dropped")).and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            back.get("meta").and_then(|m| m.get("spans_dropped")).and_then(Json::as_u64),
+            Some(0)
+        );
         let cache = back.get("cache").expect("cache stanza present");
         assert_eq!(cache.get("hits_disk").and_then(Json::as_u64), Some(3));
         let serve = back.get("serve").expect("serve stanza present");

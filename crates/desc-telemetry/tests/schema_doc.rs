@@ -193,8 +193,5 @@ fn schema_document_matches_emitted_report() {
         "docs/REPORT_SCHEMA.md Key index disagrees with Report::to_json \
          (left: documented, right: emitted)"
     );
-    assert!(
-        doc.contains("desc-run-report/v1"),
-        "schema document must name the schema version"
-    );
+    assert!(doc.contains("desc-run-report/v1"), "schema document must name the schema version");
 }

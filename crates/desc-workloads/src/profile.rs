@@ -174,165 +174,326 @@ impl BenchmarkId {
             near_repeat,
         };
         let mb = |x: usize| x << 20;
-        let p = |id,
-                 name,
-                 suite,
-                 input,
-                 l2_apki,
-                 ws,
-                 hot,
-                 hot_fraction,
-                 write_fraction,
-                 values| BenchmarkProfile {
-            id,
-            name,
-            suite,
-            input,
-            cores: 8,
-            l2_apki,
-            working_set_bytes: ws,
-            hot_set_bytes: hot,
-            hot_fraction,
-            write_fraction,
-            base_ipc: 0.9,
-            values,
+        let p = |id, name, suite, input, l2_apki, ws, hot, hot_fraction, write_fraction, values| {
+            BenchmarkProfile {
+                id,
+                name,
+                suite,
+                input,
+                cores: 8,
+                l2_apki,
+                working_set_bytes: ws,
+                hot_set_bytes: hot,
+                hot_fraction,
+                write_fraction,
+                base_ipc: 0.9,
+                values,
+            }
         };
         match self {
             B::Art => p(
-                self, "Art", S::SpecOpenMp, "MinneSpec-Large",
-                7.3, mb(16), mb(3), 0.62, 0.30,
+                self,
+                "Art",
+                S::SpecOpenMp,
+                "MinneSpec-Large",
+                7.3,
+                mb(16),
+                mb(3),
+                0.62,
+                0.30,
                 vm(0.05, 0.05, 0.10, 0.45, 0.0, 0.05, 0.30),
             ),
             B::Barnes => p(
-                self, "Barnes", S::Splash2, "16K Particles",
-                4.0, mb(8), mb(4), 0.75, 0.30,
+                self,
+                "Barnes",
+                S::Splash2,
+                "16K Particles",
+                4.0,
+                mb(8),
+                mb(4),
+                0.75,
+                0.30,
                 vm(0.05, 0.05, 0.05, 0.45, 0.0, 0.15, 0.25),
             ),
             B::Cg => p(
-                self, "CG", S::NasOpenMp, "Class A",
-                7.3, mb(24), mb(4), 0.58, 0.20,
+                self,
+                "CG",
+                S::NasOpenMp,
+                "Class A",
+                7.3,
+                mb(24),
+                mb(4),
+                0.58,
+                0.20,
                 vm(0.10, 0.17, 0.08, 0.40, 0.0, 0.0, 0.22),
             ),
             B::Cholesky => p(
-                self, "Cholesky", S::Splash2, "tk 15.0",
-                5.3, mb(8), mb(4), 0.70, 0.35,
+                self,
+                "Cholesky",
+                S::Splash2,
+                "tk 15.0",
+                5.3,
+                mb(8),
+                mb(4),
+                0.70,
+                0.35,
                 vm(0.10, 0.14, 0.05, 0.44, 0.0, 0.05, 0.20),
             ),
             B::Equake => p(
-                self, "Equake", S::SpecOpenMp, "MinneSpec-Large",
-                6.0, mb(16), mb(4), 0.60, 0.30,
+                self,
+                "Equake",
+                S::SpecOpenMp,
+                "MinneSpec-Large",
+                6.0,
+                mb(16),
+                mb(4),
+                0.60,
+                0.30,
                 vm(0.05, 0.05, 0.05, 0.55, 0.0, 0.05, 0.25),
             ),
             B::Fft => p(
-                self, "FFT", S::Splash2, "1M points",
-                6.7, mb(48), mb(5), 0.60, 0.45,
+                self,
+                "FFT",
+                S::Splash2,
+                "1M points",
+                6.7,
+                mb(48),
+                mb(5),
+                0.60,
+                0.45,
                 vm(0.02, 0.03, 0.05, 0.70, 0.0, 0.0, 0.20),
             ),
             B::Ft => p(
-                self, "FT", S::NasOpenMp, "Class A",
-                6.7, mb(40), mb(5), 0.60, 0.45,
+                self,
+                "FT",
+                S::NasOpenMp,
+                "Class A",
+                6.7,
+                mb(40),
+                mb(5),
+                0.60,
+                0.45,
                 vm(0.02, 0.03, 0.05, 0.65, 0.0, 0.0, 0.25),
             ),
             B::Linear => p(
-                self, "Linear", S::Phoenix, "50MB key file",
-                7.3, mb(50), mb(3), 0.60, 0.15,
+                self,
+                "Linear",
+                S::Phoenix,
+                "50MB key file",
+                7.3,
+                mb(50),
+                mb(3),
+                0.60,
+                0.15,
                 vm(0.08, 0.07, 0.20, 0.10, 0.16, 0.0, 0.37),
             ),
             B::Lu => p(
-                self, "LU", S::Splash2, "512×512 matrix, 16×16 blocks",
-                4.7, mb(2), mb(2), 0.92, 0.40,
+                self,
+                "LU",
+                S::Splash2,
+                "512×512 matrix, 16×16 blocks",
+                4.7,
+                mb(2),
+                mb(2),
+                0.92,
+                0.40,
                 vm(0.08, 0.08, 0.06, 0.48, 0.0, 0.0, 0.30),
             ),
             B::Mg => p(
-                self, "MG", S::NasOpenMp, "Class A",
-                6.7, mb(32), mb(5), 0.62, 0.35,
+                self,
+                "MG",
+                S::NasOpenMp,
+                "Class A",
+                6.7,
+                mb(32),
+                mb(5),
+                0.62,
+                0.35,
                 vm(0.10, 0.11, 0.08, 0.45, 0.0, 0.0, 0.25),
             ),
             B::Ocean => p(
-                self, "Ocean", S::Splash2, "514×514 ocean",
-                6.7, mb(30), mb(5), 0.58, 0.40,
+                self,
+                "Ocean",
+                S::Splash2,
+                "514×514 ocean",
+                6.7,
+                mb(30),
+                mb(5),
+                0.58,
+                0.40,
                 vm(0.08, 0.07, 0.05, 0.50, 0.0, 0.0, 0.30),
             ),
             B::Radix => p(
-                self, "Radix", S::Splash2, "2M integers",
-                8.7, mb(16), mb(3), 0.50, 0.50,
+                self,
+                "Radix",
+                S::Splash2,
+                "2M integers",
+                8.7,
+                mb(16),
+                mb(3),
+                0.50,
+                0.50,
                 vm(0.08, 0.08, 0.30, 0.14, 0.0, 0.06, 0.32),
             ),
             B::RayTrace => p(
-                self, "RayTrace", S::Splash2, "car",
-                5.0, mb(16), mb(5), 0.68, 0.15,
+                self,
+                "RayTrace",
+                S::Splash2,
+                "car",
+                5.0,
+                mb(16),
+                mb(5),
+                0.68,
+                0.15,
                 vm(0.04, 0.06, 0.08, 0.26, 0.0, 0.30, 0.25),
             ),
             B::Swim => p(
-                self, "Swim", S::SpecOpenMp, "MinneSpec-Large",
-                6.7, mb(32), mb(5), 0.62, 0.40,
+                self,
+                "Swim",
+                S::SpecOpenMp,
+                "MinneSpec-Large",
+                6.7,
+                mb(32),
+                mb(5),
+                0.62,
+                0.40,
                 vm(0.05, 0.05, 0.05, 0.55, 0.0, 0.0, 0.30),
             ),
             B::WaterNSquared => p(
-                self, "Water-NSquared", S::Splash2, "512 molecules",
-                3.3, mb(4), mb(3), 0.88, 0.30,
+                self,
+                "Water-NSquared",
+                S::Splash2,
+                "512 molecules",
+                3.3,
+                mb(4),
+                mb(3),
+                0.88,
+                0.30,
                 vm(0.05, 0.05, 0.08, 0.50, 0.0, 0.07, 0.25),
             ),
             B::WaterSpatial => p(
-                self, "Water-Spatial", S::Splash2, "512 molecules",
-                3.3, mb(4), mb(3), 0.88, 0.30,
+                self,
+                "Water-Spatial",
+                S::Splash2,
+                "512 molecules",
+                3.3,
+                mb(4),
+                mb(3),
+                0.88,
+                0.30,
                 vm(0.05, 0.05, 0.08, 0.48, 0.0, 0.09, 0.25),
             ),
             // ---- single-threaded SPEC CPU2006 (§5.8) ----------------
             B::Bzip2 => BenchmarkProfile {
-                id: self, name: "BZIP2", suite: S::SpecInt2006, input: "reference",
-                cores: 1, l2_apki: 8.0,
-                working_set_bytes: mb(16), hot_set_bytes: mb(4), hot_fraction: 0.72,
-                write_fraction: 0.35, base_ipc: 1.6,
+                id: self,
+                name: "BZIP2",
+                suite: S::SpecInt2006,
+                input: "reference",
+                cores: 1,
+                l2_apki: 8.0,
+                working_set_bytes: mb(16),
+                hot_set_bytes: mb(4),
+                hot_fraction: 0.72,
+                write_fraction: 0.35,
+                base_ipc: 1.6,
                 values: vm(0.05, 0.05, 0.35, 0.0, 0.20, 0.05, 0.30),
             },
             B::Mcf => BenchmarkProfile {
-                id: self, name: "MCF", suite: S::SpecInt2006, input: "reference",
-                cores: 1, l2_apki: 40.0,
-                working_set_bytes: mb(64), hot_set_bytes: mb(5), hot_fraction: 0.40,
-                write_fraction: 0.25, base_ipc: 0.8,
+                id: self,
+                name: "MCF",
+                suite: S::SpecInt2006,
+                input: "reference",
+                cores: 1,
+                l2_apki: 40.0,
+                working_set_bytes: mb(64),
+                hot_set_bytes: mb(5),
+                hot_fraction: 0.40,
+                write_fraction: 0.25,
+                base_ipc: 0.8,
                 values: vm(0.10, 0.15, 0.15, 0.0, 0.0, 0.30, 0.30),
             },
             B::Omnetpp => BenchmarkProfile {
-                id: self, name: "OMNETPP", suite: S::SpecInt2006, input: "reference",
-                cores: 1, l2_apki: 22.0,
-                working_set_bytes: mb(40), hot_set_bytes: mb(5), hot_fraction: 0.55,
-                write_fraction: 0.30, base_ipc: 1.0,
+                id: self,
+                name: "OMNETPP",
+                suite: S::SpecInt2006,
+                input: "reference",
+                cores: 1,
+                l2_apki: 22.0,
+                working_set_bytes: mb(40),
+                hot_set_bytes: mb(5),
+                hot_fraction: 0.55,
+                write_fraction: 0.30,
+                base_ipc: 1.0,
                 values: vm(0.08, 0.10, 0.12, 0.05, 0.05, 0.30, 0.30),
             },
             B::Sjeng => BenchmarkProfile {
-                id: self, name: "SJENG", suite: S::SpecInt2006, input: "reference",
-                cores: 1, l2_apki: 5.0,
-                working_set_bytes: mb(4), hot_set_bytes: mb(3), hot_fraction: 0.90,
-                write_fraction: 0.30, base_ipc: 1.8,
+                id: self,
+                name: "SJENG",
+                suite: S::SpecInt2006,
+                input: "reference",
+                cores: 1,
+                l2_apki: 5.0,
+                working_set_bytes: mb(4),
+                hot_set_bytes: mb(3),
+                hot_fraction: 0.90,
+                write_fraction: 0.30,
+                base_ipc: 1.8,
                 values: vm(0.05, 0.10, 0.40, 0.0, 0.0, 0.15, 0.30),
             },
             B::Lbm => BenchmarkProfile {
-                id: self, name: "LBM", suite: S::SpecFp2006, input: "reference",
-                cores: 1, l2_apki: 30.0,
-                working_set_bytes: mb(64), hot_set_bytes: mb(4), hot_fraction: 0.35,
-                write_fraction: 0.50, base_ipc: 1.2,
+                id: self,
+                name: "LBM",
+                suite: S::SpecFp2006,
+                input: "reference",
+                cores: 1,
+                l2_apki: 30.0,
+                working_set_bytes: mb(64),
+                hot_set_bytes: mb(4),
+                hot_fraction: 0.35,
+                write_fraction: 0.50,
+                base_ipc: 1.2,
                 values: vm(0.03, 0.02, 0.05, 0.60, 0.0, 0.0, 0.30),
             },
             B::Milc => BenchmarkProfile {
-                id: self, name: "MILC", suite: S::SpecFp2006, input: "reference",
-                cores: 1, l2_apki: 26.0,
-                working_set_bytes: mb(48), hot_set_bytes: mb(4), hot_fraction: 0.40,
-                write_fraction: 0.40, base_ipc: 1.1,
+                id: self,
+                name: "MILC",
+                suite: S::SpecFp2006,
+                input: "reference",
+                cores: 1,
+                l2_apki: 26.0,
+                working_set_bytes: mb(48),
+                hot_set_bytes: mb(4),
+                hot_fraction: 0.40,
+                write_fraction: 0.40,
+                base_ipc: 1.1,
                 values: vm(0.03, 0.05, 0.07, 0.55, 0.0, 0.0, 0.30),
             },
             B::Namd => BenchmarkProfile {
-                id: self, name: "NAMD", suite: S::SpecFp2006, input: "reference",
-                cores: 1, l2_apki: 6.0,
-                working_set_bytes: mb(8), hot_set_bytes: mb(5), hot_fraction: 0.85,
-                write_fraction: 0.30, base_ipc: 1.8,
+                id: self,
+                name: "NAMD",
+                suite: S::SpecFp2006,
+                input: "reference",
+                cores: 1,
+                l2_apki: 6.0,
+                working_set_bytes: mb(8),
+                hot_set_bytes: mb(5),
+                hot_fraction: 0.85,
+                write_fraction: 0.30,
+                base_ipc: 1.8,
                 values: vm(0.05, 0.05, 0.05, 0.55, 0.0, 0.05, 0.25),
             },
             B::Soplex => BenchmarkProfile {
-                id: self, name: "SOPLEX", suite: S::SpecFp2006, input: "reference",
-                cores: 1, l2_apki: 24.0,
-                working_set_bytes: mb(32), hot_set_bytes: mb(5), hot_fraction: 0.50,
-                write_fraction: 0.25, base_ipc: 1.0,
+                id: self,
+                name: "SOPLEX",
+                suite: S::SpecFp2006,
+                input: "reference",
+                cores: 1,
+                l2_apki: 24.0,
+                working_set_bytes: mb(32),
+                hot_set_bytes: mb(5),
+                hot_fraction: 0.50,
+                write_fraction: 0.25,
+                base_ipc: 1.0,
                 values: vm(0.12, 0.18, 0.10, 0.35, 0.0, 0.0, 0.25),
             },
         }
@@ -375,11 +536,8 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let mut names: Vec<&str> = parallel_suite()
-            .iter()
-            .chain(spec_suite().iter())
-            .map(|p| p.name)
-            .collect();
+        let mut names: Vec<&str> =
+            parallel_suite().iter().chain(spec_suite().iter()).map(|p| p.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 24);

@@ -41,11 +41,8 @@ impl ChunkStats {
         let chunks = Chunks::split(block, ChunkSize::PAPER_DEFAULT);
         let values = chunks.values();
         if let Some(prev) = &self.previous {
-            self.repeats += values
-                .iter()
-                .zip(prev)
-                .filter(|(now, before)| now == before)
-                .count() as u64;
+            self.repeats +=
+                values.iter().zip(prev).filter(|(now, before)| now == before).count() as u64;
         } else {
             // The first block compares against all-zero wires.
             self.repeats += values.iter().filter(|&&v| v == 0).count() as u64;
@@ -161,9 +158,7 @@ mod tests {
         let fractions: Vec<f64> = parallel_suite()
             .iter()
             .map(|p| {
-                ChunkStats::measure_stream(&mut p.value_stream(34), 600)
-                    .repeat_fraction()
-                    .max(1e-6)
+                ChunkStats::measure_stream(&mut p.value_stream(34), 600).repeat_fraction().max(1e-6)
             })
             .collect();
         let g = geomean(&fractions);

@@ -196,10 +196,7 @@ mod tests {
         let p = BenchmarkId::Swim.profile();
         let mut gen = p.trace(11);
         let accesses = gen.take(5_000);
-        let sequential = accesses
-            .windows(2)
-            .filter(|w| w[1].addr == w[0].addr + 64)
-            .count();
+        let sequential = accesses.windows(2).filter(|w| w[1].addr == w[0].addr + 64).count();
         assert!(sequential > 50, "sequential pairs {sequential}");
     }
 }

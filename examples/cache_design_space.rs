@@ -9,7 +9,9 @@
 use desc::cacti::{CacheConfig, CacheModel, DeviceType};
 
 fn main() {
-    println!("8MB L2 design space at 22nm (per-transition H-tree energy, latency, leakage, area):\n");
+    println!(
+        "8MB L2 design space at 22nm (per-transition H-tree energy, latency, leakage, area):\n"
+    );
     println!(
         "{:>6} {:>6} {:>6} {:>12} {:>10} {:>11} {:>9}",
         "banks", "wires", "device", "pJ/flip", "hit (cyc)", "leakage", "area"

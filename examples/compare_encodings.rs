@@ -17,14 +17,8 @@ fn main() {
         .find(|p| p.name.eq_ignore_ascii_case(&name))
         .unwrap_or_else(|| BenchmarkId::Radix.profile());
     let blocks = 5_000;
-    println!(
-        "Transferring {blocks} cache blocks of {} traffic:\n",
-        profile.name
-    );
-    println!(
-        "{:<32} {:>14} {:>12} {:>12}",
-        "scheme", "flips/block", "cycles/block", "vs binary"
-    );
+    println!("Transferring {blocks} cache blocks of {} traffic:\n", profile.name);
+    println!("{:<32} {:>14} {:>12} {:>12}", "scheme", "flips/block", "cycles/block", "vs binary");
     let mut binary_mean = None;
     for kind in SchemeKind::ALL {
         let mut scheme = kind.build_paper_config();

@@ -6,8 +6,8 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use desc::core::schemes::SchemeKind;
 use desc::cacti::CacheModel;
+use desc::core::schemes::SchemeKind;
 use desc::sim::{SimConfig, SystemSim};
 use desc::workloads::values::ValueModel;
 use desc::workloads::BenchmarkId;

@@ -22,10 +22,7 @@ fn main() {
     let dense = Block::from_bytes(&dense_bytes);
 
     println!("Transfer cost of a sparse block, then a dense block:\n");
-    println!(
-        "{:<32} {:>8} {:>8} {:>8} {:>8}",
-        "scheme", "flips#1", "cyc#1", "flips#2", "cyc#2"
-    );
+    println!("{:<32} {:>8} {:>8} {:>8} {:>8}", "scheme", "flips#1", "cyc#1", "flips#2", "cyc#2");
     for kind in SchemeKind::ALL {
         let mut scheme = kind.build_paper_config();
         let a = scheme.transfer(&sparse);

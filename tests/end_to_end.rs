@@ -3,11 +3,11 @@
 //! processor roll-up, asserting the paper's headline claims hold
 //! end-to-end at reduced scale.
 
+use desc::cacti::CacheModel;
 use desc::core::schemes::SchemeKind;
 use desc::experiments::figures::fig16;
 use desc::experiments::{run_experiment, Scale};
 use desc::mcpat::ProcessorConfig;
-use desc::cacti::CacheModel;
 use desc::sim::{SimConfig, SystemSim};
 use desc::workloads::BenchmarkId;
 
@@ -67,11 +67,8 @@ fn experiment_tables_are_deterministic() {
 #[test]
 fn quick_and_full_scales_agree_on_the_winner() {
     let tiny = fig16::scheme_geomeans(&Scale::tiny());
-    let winner = tiny
-        .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-        .expect("non-empty")
-        .0;
+    let winner =
+        tiny.iter().min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite")).expect("non-empty").0;
     assert!(
         winner == SchemeKind::ZeroSkippedDesc || winner == SchemeKind::LastValueSkippedDesc,
         "unexpected winner {winner:?}"
