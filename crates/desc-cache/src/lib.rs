@@ -15,11 +15,15 @@
 //!   [`Decoder`]) and the versioned, checksummed on-disk entry format.
 //!   Floats travel as exact bit patterns, so a warm hit reproduces the
 //!   cold result *bitwise*.
-//! - [`store`] — the two-tier [`CacheStore`]: a bounded LRU hot tier
+//! - [`memo`] — the one bounded, single-flight, in-memory memo
+//!   ([`memo::Memo`]): values under a byte budget with LRU eviction,
+//!   each computed by exactly one of its concurrent demanders. It is
+//!   the store's hot tier and `desc-sim`'s outcome-stream memo.
+//! - [`store`] — the two-tier [`CacheStore`]: a memo hot tier
 //!   (`DESC_CACHE_MEM_BYTES`) in front of an on-disk store of record
 //!   (one object file per cell, written with [`write_atomic`]), with
 //!   hit/miss/store/eviction counters surfaced in the report's `cache`
-//!   stanza and a single-flight registry ([`CacheStore::begin_flight`]) so
+//!   stanza and single flight ([`CacheStore::begin_flight`]) so
 //!   concurrent callers compute each cold cell exactly once.
 //!
 //! What a cached entry *means* (which config/profile fields are
@@ -49,6 +53,7 @@
 
 pub mod codec;
 pub mod hash;
+pub mod memo;
 pub mod store;
 
 pub use codec::{

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Repo verification: the Rust checks CI runs — tier-1 (build + root
-# tests), workspace tests, doctests, clippy, rustdoc and the benchmark
-# build. Fully offline — the workspace has no external dependencies.
+# Repo verification: the Rust checks CI runs — formatting, tier-1
+# (build + root tests), workspace tests, doctests, clippy, rustdoc and
+# the benchmark build. Fully offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release
