@@ -5,14 +5,19 @@
 //! ```
 //!
 //! Measures SECDED encode and decode rates for the paper's (72,64) and
-//! (137,128) codes plus the full chunk-interleaved encode → corrupt →
-//! correct round trip on 64-byte blocks, and appends the numbers to
-//! `BENCH_ecc.json` in the shared history format (latest run in
-//! `results`, every run in `history`).
+//! (137,128) codes, the full chunk-interleaved encode → corrupt →
+//! correct round trip on 64-byte blocks, and the SECDED transfer
+//! scheme of each Fig. 28 configuration in blocks/s through the scalar
+//! `transfer_each` loop and through `transfer_many` on slabs of
+//! [`SLAB`] blocks. Each scheme row first checks that the two paths
+//! return equal costs and exits with status 1 if they do not. The
+//! numbers are appended to `BENCH_ecc.json` in the shared history
+//! format (latest run in `results`, every run in `history`).
 
 use desc_bench::{best_rate, Harness};
-use desc_core::Block;
+use desc_core::{transfer_each, Block, BlockSlab, TransferScheme};
 use desc_ecc::{InterleavedBlock, SecdedCode};
+use desc_experiments::figures::fig28;
 use desc_telemetry::Json;
 use desc_workloads::BenchmarkId;
 use std::hint::black_box;
@@ -20,6 +25,10 @@ use std::hint::black_box;
 const ITERS: usize = 20_000;
 const REPS: usize = 5;
 const POOL: usize = 256;
+/// Blocks per `transfer_many` call in the scheme rows.
+const SLAB: usize = 256;
+/// Slabs per repetition in the scheme rows.
+const SLAB_ITERS: usize = 40;
 
 fn bench_secded(code: &SecdedCode, data: &[Vec<u8>]) -> (f64, f64) {
     // Warmup + corpus of clean codewords for the decode side.
@@ -43,11 +52,42 @@ fn bench_secded(code: &SecdedCode, data: &[Vec<u8>]) -> (f64, f64) {
     (encode_rate, decode_rate)
 }
 
+/// Blocks/s of `name`'s scheme through `transfer_each` and through
+/// `transfer_many`, after checking that both paths cost `slab` alike.
+fn bench_scheme(name: &str, slab: &BlockSlab) -> (f64, f64) {
+    let (mut scalar, mut batched) = (fig28::build_config(name), fig28::build_config(name));
+    let (mut each, mut many) = (Vec::new(), Vec::new());
+    transfer_each(&mut scalar, slab, &mut each);
+    batched.transfer_many(slab, &mut many);
+    if each != many {
+        eprintln!("bench_codecs: {name}: transfer_many costs differ from transfer_each");
+        std::process::exit(1);
+    }
+    let mut costs = Vec::with_capacity(SLAB);
+    let each_rate = SLAB as f64
+        * best_rate(SLAB_ITERS, REPS, || {
+            costs.clear();
+            transfer_each(&mut scalar, slab, &mut costs);
+            black_box(&costs);
+        });
+    let many_rate = SLAB as f64
+        * best_rate(SLAB_ITERS, REPS, || {
+            costs.clear();
+            batched.transfer_many(slab, &mut costs);
+            black_box(&costs);
+        });
+    (each_rate, many_rate)
+}
+
 fn main() {
     let mut harness = Harness::from_args("ecc_codecs", "BENCH_ecc.json");
     let mut stream = BenchmarkId::Ocean.profile().value_stream(2013);
     let blocks: Vec<Block> = (0..POOL).map(|_| stream.next_block()).collect();
 
+    let mut slab = BlockSlab::with_capacity(64, SLAB);
+    for block in blocks.iter().cycle().take(SLAB) {
+        slab.push(block);
+    }
     println!("{:<28} {:>16}", "codec", "ops/sec");
     let mut record = |name: &str, rate: f64| {
         println!("{name:<28} {rate:>16.0}");
@@ -80,6 +120,20 @@ fn main() {
         }
     });
     record("interleave_paper_roundtrip", interleave_rate);
+
+    // The Fig. 28 SECDED schemes, one slab of the value-stream blocks
+    // per call, through both paths.
+    for name in fig28::CONFIGS {
+        let (each, many) = bench_scheme(name, &slab);
+        println!("secded_scheme {name:<15} {each:>16.0} {many:>16.0}  (blocks/s: each, many)");
+        harness.push(
+            Json::obj()
+                .with("codec", Json::Str(format!("secded_scheme {name}")))
+                .with("slab", Json::UInt(SLAB as u64))
+                .with("transfer_each_blocks_per_sec", Json::Num(each.round()))
+                .with("transfer_many_blocks_per_sec", Json::Num(many.round())),
+        );
+    }
 
     let config = Json::obj()
         .with("block_bytes", Json::UInt(64))

@@ -25,7 +25,11 @@
 //! concurrent demanders of one cold sweep through one cell store
 //! (`single_flight`) and with no store installed (`duplicate`, whose
 //! store/lead counters read 0), recording the counters that prove each
-//! cell was computed once vs once per demander.
+//! cell was computed once through the store. The `duplicate` row does
+//! not duplicate whole cells: `desc-sim`'s outcome-stream memo still
+//! computes each input's scheme-independent half (trace, directory
+//! replay) once across all demanders, so that row repeats only the
+//! per-scheme passes (encoding, timing, pricing) once per demander.
 //!
 //! `--jobs N` sizes the process-wide `desc_exec` pool (a pool never
 //! shrinks, so sweeping jobs takes one process per value — see
@@ -251,9 +255,11 @@ fn main() {
     // concurrently, through one store and with none. Through the store,
     // one demander leads each cell and the rest share the published
     // entry (stores == distinct cells); with no store installed, every
-    // demander computes every cell and the store/lead/share counters
-    // read 0. Rows record demanded-cells-served per second plus those
-    // counters so the history can verify the dedup actually happened.
+    // demander runs every cell's per-scheme passes (the outcome-stream
+    // memo still shares each input's stream) and the store/lead/share
+    // counters read 0. Rows record demanded-cells-served per second plus
+    // those counters so the history can verify the dedup actually
+    // happened.
     {
         const CLIENTS: usize = 4;
         let scale = Scale { accesses: ACCESSES, apps: 2, seed: 2013, jobs, shards: 1 };

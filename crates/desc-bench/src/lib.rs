@@ -31,7 +31,8 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// The written document keeps the original single-run layout at the
 /// top level — `benchmark`, `config`, `results` always reflect the
 /// *latest* run — and grows a `history` array with one entry per run
-/// (`recorded_unix_s` + that run's `results`). Existing files are
+/// (`recorded_unix_s`, `host_cores` + that run's `results`, so runs on
+/// different hosts are never compared blind). Existing files are
 /// parsed and extended; a pre-history file's `results` become the
 /// first history entry, and an unparseable file is replaced with a
 /// fresh single-entry history rather than aborting the run.
@@ -59,7 +60,10 @@ pub fn append_history(
     }
     let recorded = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
     history.push(
-        Json::obj().with("recorded_unix_s", Json::UInt(recorded)).with("results", results.clone()),
+        Json::obj()
+            .with("recorded_unix_s", Json::UInt(recorded))
+            .with("host_cores", Json::UInt(host_cores() as u64))
+            .with("results", results.clone()),
     );
     let doc = Json::obj()
         .with("benchmark", Json::Str(benchmark.to_owned()))
@@ -84,6 +88,11 @@ pub fn best_rate(iters: usize, reps: usize, mut work: impl FnMut()) -> f64 {
     iters as f64 / best
 }
 
+/// The host's available parallelism, recorded with every run.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+}
+
 /// Where this run's [`desc_exec`] pool tasks actually executed, for the
 /// `pool` stanza every bench config records: a history entry then
 /// documents its own concurrency, so serial and pooled runs are never
@@ -91,10 +100,8 @@ pub fn best_rate(iters: usize, reps: usize, mut work: impl FnMut()) -> f64 {
 #[must_use]
 pub fn pool_stanza() -> Json {
     let s = desc_exec::stats();
-    let host_cores =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     Json::obj()
-        .with("host_cores", Json::UInt(host_cores as u64))
+        .with("host_cores", Json::UInt(host_cores() as u64))
         .with("target", Json::UInt(s.target as u64))
         .with("workers", Json::UInt(s.workers as u64))
         .with("regions", Json::UInt(s.regions))
@@ -188,6 +195,7 @@ mod tests {
             .and_then(Json::as_u64);
         assert_eq!(first_x, Some(1), "old-format results preserved as first entry");
         assert!(history[2].get("recorded_unix_s").is_some());
+        assert!(history[2].get("host_cores").and_then(Json::as_u64).is_some());
         // Top level keeps the latest run.
         let top_x = doc
             .get("results")

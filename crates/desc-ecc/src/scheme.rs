@@ -6,10 +6,19 @@
 //! The paper's W-S notation means W data wires with the Hamming code
 //! applied to S-bit segments; the parity bits travel on extra wires
 //! (9 extra for (137,128), §3.2.3).
+//!
+//! The extended block is the data bytes followed by each segment's
+//! parity bits (Hamming bits at increasing powers of two, then the
+//! overall bit), segment after segment, zero-padded to a whole byte.
+//! The parity comes from [`SecdedCode`]'s word-parallel coverage table,
+//! 64 data bits at a time. [`TransferScheme::transfer_many`] extends a
+//! whole slab into one reused extended slab and hands it to the inner
+//! scheme's batched kernel in a single call; `transfer` is the
+//! per-block path, and both cost every block identically.
 
 use crate::secded::SecdedCode;
 use desc_core::cost::{TransferCost, WireBudget};
-use desc_core::{Block, TransferScheme};
+use desc_core::{Block, BlockSlab, TransferScheme};
 
 /// Wraps an inner transfer scheme so every block is transferred with
 /// its SECDED parity appended.
@@ -32,6 +41,11 @@ pub struct SecdedScheme<S> {
     inner: S,
     code: SecdedCode,
     segments: usize,
+    /// `transfer_many`'s reused buffers: one data block copied out of
+    /// the slab, its extension, and the extended slab.
+    data: Block,
+    extended: Block,
+    extended_slab: BlockSlab,
 }
 
 impl<S: TransferScheme> SecdedScheme<S> {
@@ -44,7 +58,16 @@ impl<S: TransferScheme> SecdedScheme<S> {
     #[must_use]
     pub fn new(inner: S, code: SecdedCode, segments: usize) -> Self {
         assert!(segments > 0, "at least one ECC segment required");
-        Self { inner, code, segments }
+        let data_bytes = (segments * code.data_bits()).div_ceil(8);
+        let extended_bytes = data_bytes + (segments * code.parity_bits()).div_ceil(8);
+        Self {
+            inner,
+            code,
+            segments,
+            data: Block::zeroed(data_bytes),
+            extended: Block::zeroed(extended_bytes),
+            extended_slab: BlockSlab::new(extended_bytes),
+        }
     }
 
     /// Extends `block` with its parity bits (zero-padded to a whole
@@ -56,39 +79,50 @@ impl<S: TransferScheme> SecdedScheme<S> {
     /// `code.data_bits()` bits.
     #[must_use]
     pub fn extend_with_parity(&self, block: &Block) -> Block {
+        self.check_split(block.bit_len());
+        let mut bytes = Vec::with_capacity(self.extended.byte_len());
+        bytes.extend_from_slice(block.as_bytes());
+        bytes.resize(self.extended.byte_len(), 0);
+        let mut extended = Block::from_vec(bytes);
+        write_parity(&self.code, self.segments, block, &mut extended);
+        extended
+    }
+
+    /// Asserts that a block of `bit_len` bits splits into the scheme's
+    /// segments.
+    fn check_split(&self, bit_len: usize) {
         assert_eq!(
-            block.bit_len(),
+            bit_len,
             self.segments * self.code.data_bits(),
             "block of {} bits does not split into {} × {}-bit ECC segments",
-            block.bit_len(),
+            bit_len,
             self.segments,
             self.code.data_bits()
         );
-        let parity_per_segment = self.code.parity_bits();
-        let parity_bits = self.segments * parity_per_segment;
-        let total_bytes = block.byte_len() + parity_bits.div_ceil(8);
-        let mut extended = Block::zeroed(total_bytes);
-        for i in 0..block.bit_len() {
-            extended.set_bit(i, block.bit(i));
+    }
+
+    /// Adds `blocks` extended blocks to the `ecc.scheme.*` counters.
+    fn count(&self, blocks: usize) {
+        if desc_telemetry::enabled() {
+            desc_telemetry::counter!("ecc.scheme.blocks").add(blocks as u64);
+            desc_telemetry::counter!("ecc.scheme.parity_bits")
+                .add((blocks * self.segments * self.code.parity_bits()) as u64);
         }
-        let seg_bytes = self.code.data_bits().div_ceil(8);
-        for s in 0..self.segments {
-            let mut data = vec![0u8; seg_bytes];
-            for b in 0..self.code.data_bits() {
-                if block.bit(s * self.code.data_bits() + b) {
-                    data[b / 8] |= 1 << (b % 8);
-                }
-            }
-            let codeword = self.code.encode(&data);
-            // Parity = positions 0 (overall) and the powers of two.
-            let n = self.code.codeword_bits() - 1;
-            let parity_positions = (1..=n).filter(|p| p.is_power_of_two()).chain([0usize]);
-            for (k, pos) in parity_positions.enumerate() {
-                let bit_index = block.bit_len() + s * parity_per_segment + k;
-                extended.set_bit(bit_index, codeword[pos]);
-            }
+    }
+}
+
+/// Writes the parity of every segment of `data` after its data bits in
+/// `extended`, whose leading bytes already hold `data`.
+fn write_parity(code: &SecdedCode, segments: usize, data: &Block, extended: &mut Block) {
+    let width = code.parity_bits();
+    for s in 0..segments {
+        let base = s * code.data_bits();
+        let parity = code.parity(|start, w| data.word_bits(base + start, w));
+        let at = data.bit_len() + s * width;
+        for piece in (0..width).step_by(16) {
+            let bits = (width - piece).min(16);
+            extended.set_bits(at + piece, bits, (parity >> piece) as u16);
         }
-        extended
     }
 }
 
@@ -106,12 +140,27 @@ impl<S: TransferScheme + Clone + 'static> TransferScheme for SecdedScheme<S> {
 
     fn transfer(&mut self, block: &Block) -> TransferCost {
         let extended = self.extend_with_parity(block);
-        if desc_telemetry::enabled() {
-            desc_telemetry::counter!("ecc.scheme.blocks").incr();
-            desc_telemetry::counter!("ecc.scheme.parity_bits")
-                .add((self.segments * self.code.parity_bits()) as u64);
-        }
+        self.count(1);
         self.inner.transfer(&extended)
+    }
+
+    fn transfer_many(&mut self, slab: &BlockSlab, costs: &mut Vec<TransferCost>) {
+        if slab.is_empty() {
+            return;
+        }
+        self.check_split(slab.bit_len());
+        let data_bytes = slab.byte_len();
+        self.extended_slab.clear();
+        for i in 0..slab.len() {
+            slab.copy_block_into(i, &mut self.data);
+            self.extended.as_bytes_mut()[..data_bytes].copy_from_slice(self.data.as_bytes());
+            // The parity bits are rewritten in full and the padding
+            // bits are never written, so no clearing is needed.
+            write_parity(&self.code, self.segments, &self.data, &mut self.extended);
+            self.extended_slab.push(&self.extended);
+        }
+        self.count(slab.len());
+        self.inner.transfer_many(&self.extended_slab, costs);
     }
 
     fn reset(&mut self) {

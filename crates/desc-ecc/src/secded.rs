@@ -6,8 +6,18 @@
 //! (position 0) extends single-error correction to double-error
 //! detection. The paper uses the (72,64) and (137,128) instances
 //! (Slayman \[22\]).
+//!
+//! The codec is word-parallel. [`SecdedCode::new`] builds the code's
+//! coverage table once: for each Hamming parity bit, the mask of data
+//! bits it covers, one `u64` per 64 data bits. A parity bit is then
+//! the popcount parity of `data & mask`, so encoding, decoding's
+//! syndrome and [`SecdedScheme`]'s parity extension all run through one
+//! routine over whole words instead of one bit at a time.
+//!
+//! [`SecdedScheme`]: crate::scheme::SecdedScheme
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A SECDED (extended Hamming) code over `data_bits` data bits.
 ///
@@ -27,10 +37,15 @@ use std::fmt;
 /// assert!(decoded.is_corrected());
 /// assert_eq!(code.extract_data(&cw), data);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct SecdedCode {
     data_bits: usize,
     hamming_parity_bits: usize,
+    /// The coverage table, built once per code and shared by clones:
+    /// `coverage[j * hamming_parity_bits + k]` masks the bits of data
+    /// word `j` (data bits `64j..64j+64`) that Hamming parity bit `k`
+    /// (codeword position `2^k`) covers.
+    coverage: Arc<[u64]>,
 }
 
 /// Result of decoding a (possibly corrupted) codeword.
@@ -71,7 +86,8 @@ impl fmt::Display for DecodeOutcome {
 }
 
 impl SecdedCode {
-    /// Builds a SECDED code for `data_bits` data bits.
+    /// Builds a SECDED code for `data_bits` data bits, with its
+    /// coverage table.
     ///
     /// # Panics
     ///
@@ -83,7 +99,20 @@ impl SecdedCode {
         while (1usize << r) < data_bits + r + 1 {
             r += 1;
         }
-        Self { data_bits, hamming_parity_bits: r }
+        // Data bits fill the non-power-of-two positions 3, 5, 6, 7, 9, …
+        // in order; parity bit k covers those whose index has bit k set.
+        let mut coverage = vec![0u64; data_bits.div_ceil(64) * r];
+        let mut pos = 2usize;
+        for di in 0..data_bits {
+            pos += 1;
+            if pos.is_power_of_two() {
+                pos += 1;
+            }
+            for k in (0..r).filter(|k| pos >> k & 1 == 1) {
+                coverage[di / 64 * r + k] |= 1 << (di % 64);
+            }
+        }
+        Self { data_bits, hamming_parity_bits: r, coverage: coverage.into() }
     }
 
     /// The paper's (72,64) Hamming code protecting 64-bit words.
@@ -126,6 +155,40 @@ impl SecdedCode {
         self.data_bits + self.hamming_parity_bits
     }
 
+    /// The code's one parity routine. `word(start, width)` returns data
+    /// bits `start..start + width` (LSB first, `width ≤ 64`; bits above
+    /// `width` are ignored); it is called once per 64 data bits, with
+    /// `start` a multiple of 64. Returns the parity bits in
+    /// transmission order: Hamming parity bit `k` (position `2^k`) in
+    /// bit `k`, then the overall (DED) parity in bit
+    /// `parity_bits() - 1`. Every group has even parity.
+    pub(crate) fn parity(&self, mut word: impl FnMut(usize, usize) -> u64) -> u64 {
+        let r = self.hamming_parity_bits;
+        let mut hamming = 0u64;
+        let mut ones = 0u32;
+        for (j, masks) in self.coverage.chunks_exact(r).enumerate() {
+            let start = 64 * j;
+            let width = (self.data_bits - start).min(64);
+            let w = word(start, width) & low_bits(width);
+            ones ^= w.count_ones() & 1;
+            for (k, &mask) in masks.iter().enumerate() {
+                hamming ^= u64::from((w & mask).count_ones() & 1) << k;
+            }
+        }
+        let overall = (ones ^ hamming.count_ones()) & 1;
+        hamming | u64::from(overall) << r
+    }
+
+    /// The data bits of `codeword`, packed LSB-first into 64-bit words.
+    fn data_words(&self, codeword: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; self.data_bits.div_ceil(64)];
+        let positions = (1..=self.hamming_len()).filter(|p| !p.is_power_of_two());
+        for (di, pos) in positions.enumerate() {
+            words[di / 64] |= u64::from(codeword[pos]) << (di % 64);
+        }
+        words
+    }
+
     /// Encodes `data` (little-endian bit order, `data_bits` bits) into
     /// a codeword laid out as `[overall parity, position 1, position 2,
     /// …]`.
@@ -134,7 +197,6 @@ impl SecdedCode {
     ///
     /// Panics if `data` holds fewer than `data_bits` bits.
     #[must_use]
-    #[allow(clippy::needless_range_loop)] // Hamming positions are semantic indices
     pub fn encode(&self, data: &[u8]) -> Vec<bool> {
         assert!(
             data.len() * 8 >= self.data_bits,
@@ -142,28 +204,19 @@ impl SecdedCode {
             self.data_bits,
             data.len() * 8
         );
-        let bit = |i: usize| (data[i / 8] >> (i % 8)) & 1 == 1;
-
-        let n = self.hamming_len();
-        let mut word = vec![false; n + 1]; // index 0 = overall parity
-                                           // Place data bits at non-power-of-two positions.
-        let mut di = 0usize;
-        for pos in 1..=n {
-            if !pos.is_power_of_two() {
-                word[pos] = bit(di);
+        let parity = self.parity(|start, _| le_word(data, start));
+        let mut word = Vec::with_capacity(self.codeword_bits());
+        word.push(parity >> self.hamming_parity_bits & 1 == 1);
+        let (mut k, mut di) = (0usize, 0usize);
+        for pos in 1..=self.hamming_len() {
+            if pos.is_power_of_two() {
+                word.push(parity >> k & 1 == 1);
+                k += 1;
+            } else {
+                word.push(data[di / 8] >> (di % 8) & 1 == 1);
                 di += 1;
             }
         }
-        debug_assert_eq!(di, self.data_bits);
-        // Compute Hamming parity bits (even parity per coverage group).
-        for j in 0..self.hamming_parity_bits {
-            let p = 1usize << j;
-            let parity =
-                (1..=n).filter(|&pos| pos != p && pos & p != 0 && word[pos]).count() % 2 == 1;
-            word[p] = parity;
-        }
-        // Overall parity over everything else (even total parity).
-        word[0] = word[1..].iter().filter(|&&b| b).count() % 2 == 1;
         word
     }
 
@@ -182,14 +235,13 @@ impl SecdedCode {
             self.data_bits
         );
         let n = self.hamming_len();
-        let mut syndrome = 0usize;
-        for j in 0..self.hamming_parity_bits {
-            let p = 1usize << j;
-            let parity = (1..=n).filter(|&pos| pos & p != 0 && codeword[pos]).count() % 2 == 1;
-            if parity {
-                syndrome |= p;
-            }
-        }
+        // Syndrome bit k: the parity recomputed from the received data
+        // differs from the received parity bit at position 2^k.
+        let data = self.data_words(codeword);
+        let parity = self.parity(|start, _| data[start / 64]);
+        let syndrome = (0..self.hamming_parity_bits)
+            .filter(|&k| (parity >> k & 1 == 1) != codeword[1 << k])
+            .fold(0usize, |s, k| s | 1 << k);
         let overall = codeword.iter().filter(|&&b| b).count() % 2 == 1;
 
         let outcome = match (syndrome, overall) {
@@ -229,20 +281,36 @@ impl SecdedCode {
     ///
     /// Panics if `codeword` has the wrong length.
     #[must_use]
-    #[allow(clippy::needless_range_loop)] // Hamming positions are semantic indices
     pub fn extract_data(&self, codeword: &[bool]) -> Vec<u8> {
         assert_eq!(codeword.len(), self.codeword_bits(), "codeword length mismatch");
-        let mut data = vec![0u8; self.data_bits.div_ceil(8)];
-        let mut di = 0usize;
-        for pos in 1..=self.hamming_len() {
-            if !pos.is_power_of_two() {
-                if codeword[pos] {
-                    data[di / 8] |= 1 << (di % 8);
-                }
-                di += 1;
-            }
-        }
-        data
+        let words = self.data_words(codeword);
+        words.iter().flat_map(|w| w.to_le_bytes()).take(self.data_bits.div_ceil(8)).collect()
+    }
+}
+
+/// The low `width ≤ 64` bits set.
+fn low_bits(width: usize) -> u64 {
+    if width == 64 {
+        u64::MAX
+    } else {
+        (1 << width) - 1
+    }
+}
+
+/// The 64 bits of `bytes` from the byte-aligned bit `start`, read
+/// little-endian; bytes past the end read as zero.
+fn le_word(bytes: &[u8], start: usize) -> u64 {
+    let tail = bytes.iter().skip(start / 8).take(8);
+    tail.enumerate().fold(0, |w, (k, &b)| w | u64::from(b) << (8 * k))
+}
+
+impl fmt::Debug for SecdedCode {
+    // The coverage table is derived from `data_bits`; leave it out.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SecdedCode")
+            .field("data_bits", &self.data_bits)
+            .field("hamming_parity_bits", &self.hamming_parity_bits)
+            .finish()
     }
 }
 
