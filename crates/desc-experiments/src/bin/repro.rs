@@ -136,10 +136,11 @@ fn main() -> ExitCode {
                      --trace PATH  enable telemetry and write a Chrome trace-event JSON\n\
                      timeline (one lane per pool thread) for Perfetto;\n\
                      see docs/TELEMETRY.md\n\
-                     --cache-dir DIR  memoize completed sweep cells under DIR and serve\n\
-                     repeat cells from it; warm results are byte-identical\n\
-                     to cold ones; rerun on DIR to continue an interrupted\n\
-                     run (see docs/CACHE.md)\n\
+                     --cache-dir DIR  persist the cell store under DIR; every run serves\n\
+                     repeat cells from its store, which without DIR is\n\
+                     memory-only and ends with the process; warm results are\n\
+                     byte-identical to cold ones; rerun on DIR to continue an\n\
+                     interrupted run (see docs/CACHE.md)\n\
                      --quiet       suppress the live progress line on stderr\n\
                      --progress    force the live progress line even when stderr is\n\
                      not a terminal\n\
@@ -182,22 +183,16 @@ fn main() -> ExitCode {
     if telemetry {
         desc_telemetry::set_enabled(true);
     }
-    let store = match &cache_dir {
-        Some(dir) => {
-            match desc_cache::CacheStore::open(dir, desc_experiments::cache::CELL_SCHEMA_VERSION) {
-                Ok(store) => {
-                    let store = std::sync::Arc::new(store);
-                    desc_experiments::cache::install(Some(std::sync::Arc::clone(&store)));
-                    Some(store)
-                }
-                Err(e) => {
-                    eprintln!("repro: unusable cache dir {}: {e}", dir.display());
-                    return ExitCode::from(EXIT_CACHE);
-                }
+    if let Some(dir) = &cache_dir {
+        match desc_cache::CacheStore::open(dir, desc_experiments::cache::CELL_SCHEMA_VERSION) {
+            Ok(store) => desc_experiments::cache::install(Some(std::sync::Arc::new(store))),
+            Err(e) => {
+                eprintln!("repro: unusable cache dir {}: {e}", dir.display());
+                return ExitCode::from(EXIT_CACHE);
             }
         }
-        None => None,
-    };
+    }
+    let store = desc_experiments::cache::active();
     // Size the shared pool once telemetry state is settled. `--jobs`
     // sets the pool size; `--shards` only caps how many of a cell's
     // bank partitions run concurrently *within* that pool — the two
@@ -234,30 +229,28 @@ fn main() -> ExitCode {
         reporter.finish();
     }
 
-    if let Some(store) = &store {
-        let s = store.stats();
+    let s = store.stats();
+    eprintln!(
+        "cache: {} hits ({} memory, {} disk), {} misses, {} stores",
+        s.hits(),
+        s.hits_memory,
+        s.hits_disk,
+        s.misses,
+        s.stores
+    );
+    if s.version_mismatches > 0 {
         eprintln!(
-            "cache: {} hits ({} memory, {} disk), {} misses, {} stores",
-            s.hits(),
-            s.hits_memory,
-            s.hits_disk,
-            s.misses,
-            s.stores
+            "repro: warning: {} entr{} from a different cell-schema version recomputed",
+            s.version_mismatches,
+            if s.version_mismatches == 1 { "y" } else { "ies" }
         );
-        if s.version_mismatches > 0 {
-            eprintln!(
-                "repro: warning: {} entr{} from a different cell-schema version recomputed",
-                s.version_mismatches,
-                if s.version_mismatches == 1 { "y" } else { "ies" }
-            );
-        }
-        if s.errors > 0 {
-            eprintln!(
-                "repro: warning: {} corrupt or unwritable cache entr{} (recomputed; non-fatal)",
-                s.errors,
-                if s.errors == 1 { "y" } else { "ies" }
-            );
-        }
+    }
+    if s.errors > 0 {
+        eprintln!(
+            "repro: warning: {} corrupt or unwritable cache entr{} (recomputed; non-fatal)",
+            s.errors,
+            if s.errors == 1 { "y" } else { "ies" }
+        );
     }
 
     // One drain serves both artifacts, so the report's spans and the
@@ -285,7 +278,7 @@ fn main() -> ExitCode {
             },
             snapshot: desc_telemetry::global().snapshot(),
             pool: Some(desc_exec::utilization()),
-            cache: store.as_ref().map(|store| store.report()),
+            cache: Some(store.report()),
             serve: None,
             spans,
         };

@@ -12,6 +12,9 @@ use desc_experiments::{run_experiment, Scale};
 use desc_telemetry::{Report, ReportMeta};
 
 fn report_for(experiments: &[&str], shards: usize, scale: &Scale) -> (Vec<String>, String) {
+    // A fresh cell store, so every run computes its cells instead of
+    // replaying an earlier run's.
+    desc_experiments::cache::install(None);
     desc_telemetry::global().reset_all();
     let renders: Vec<String> = experiments
         .iter()

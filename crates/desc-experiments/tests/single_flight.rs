@@ -56,7 +56,7 @@ fn cell_key() -> desc_cache::CellKey {
 #[test]
 fn concurrent_demanders_compute_a_cold_cell_exactly_once() {
     let _guard = serialize();
-    let expected = run_cell(); // no store installed: direct compute
+    let expected = run_cell(); // computed cold in the default store
     let store = Arc::new(CacheStore::in_memory(CELL_SCHEMA_VERSION));
     cache::install(Some(Arc::clone(&store)));
     let threads: Vec<_> = (0..4).map(|_| std::thread::spawn(run_cell)).collect();

@@ -4,9 +4,10 @@
 //! leave the registry silent.
 //!
 //! The enabled flag and registry are process-global, so everything
-//! lives in one `#[test]` to keep toggles serialized.
+//! lives in one `#[test]` to keep toggles serialized. Every compared
+//! run starts on a fresh cell store, so it computes its cells.
 
-use desc_experiments::{run_experiment, Scale};
+use desc_experiments::{cache, run_experiment, Scale};
 use desc_telemetry::MetricValue;
 
 #[test]
@@ -15,12 +16,14 @@ fn telemetry_is_invisible_in_outputs_and_deterministic_in_counters() {
 
     // Baseline render with telemetry off.
     desc_telemetry::set_enabled(false);
+    cache::install(None);
     let off = run_experiment("fig16", &scale).render();
 
     // Same run with telemetry on: byte-identical output, and a
     // registry populated from every instrumented layer.
     desc_telemetry::global().reset_all();
     desc_telemetry::set_enabled(true);
+    cache::install(None);
     let on_first = run_experiment("fig16", &scale).render();
     let first = desc_telemetry::global().snapshot();
     assert_eq!(off, on_first, "enabling telemetry changed figure output");
@@ -37,6 +40,7 @@ fn telemetry_is_invisible_in_outputs_and_deterministic_in_counters() {
 
     // Identical seed, second run: identical counter values.
     desc_telemetry::global().reset_all();
+    cache::install(None);
     let on_second = run_experiment("fig16", &scale).render();
     let second = desc_telemetry::global().snapshot();
     assert_eq!(on_first, on_second);
@@ -48,6 +52,7 @@ fn telemetry_is_invisible_in_outputs_and_deterministic_in_counters() {
     desc_telemetry::global().reset_all();
     let _ = desc_telemetry::drain_spans();
     desc_telemetry::set_context("fig16");
+    cache::install(None);
     let parallel = run_experiment("fig16", &scale.with_jobs(4).with_shards(2)).render();
     desc_telemetry::set_context("");
     let fanned = desc_telemetry::global().snapshot();

@@ -1,9 +1,9 @@
 //! `serve` — the DESC sweep-exploration service.
 //!
 //! ```text
-//! serve                          # 127.0.0.1:0 (free port), no cache
+//! serve                          # 127.0.0.1:0 (free port), memory-only cell store
 //! serve --addr 127.0.0.1:7013    # fixed port
-//! serve --cache-dir cells        # share a persistent cell store
+//! serve --cache-dir cells        # persist the cell store under cells/
 //! serve --workers 4 --queue 16   # admission limits
 //! ```
 //!
@@ -104,8 +104,9 @@ fn main() -> ExitCode {
                      \x20                 before any request completes (default: 250);\n\
                      \x20                 afterwards the hint tracks queue depth and\n\
                      \x20                 recent service times\n\
-                     --cache-dir DIR   share a persistent cell store across requests\n\
-                     \x20                 and restarts (see docs/CACHE.md)\n\
+                     --cache-dir DIR   persist the cell store every request shares, so\n\
+                     \x20                 it survives restarts; without it the store is\n\
+                     \x20                 memory-only (see docs/CACHE.md)\n\
                      --report PATH     write a final desc-run-report/v1 (with the\n\
                      \x20                 `serve` stanza) at clean shutdown\n\
                      exit codes: 0 clean shutdown, 2 usage error,\n\
@@ -156,7 +157,7 @@ fn main() -> ExitCode {
     eprintln!("serve: drained; shutting down");
 
     if let Some(path) = &report_path {
-        let cache = desc_experiments::cache::active().map(|store| store.report());
+        let cache = Some(desc_experiments::cache::active().report());
         let report = desc_telemetry::Report {
             meta: desc_telemetry::ReportMeta {
                 tool: "serve".to_owned(),

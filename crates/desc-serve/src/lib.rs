@@ -543,7 +543,7 @@ fn handle_request(shared: &Shared, payload: &[u8]) -> (Json, bool) {
     match request.op {
         Op::Ping => {
             let serve = shared.serve_report().to_json();
-            let cache = desc_experiments::cache::active().map(|store| store.report().to_json());
+            let cache = desc_experiments::cache::active().report().to_json();
             (proto::ok_ping(&request.id, started.elapsed(), serve, cache), false)
         }
         Op::Shutdown => (proto::ok_shutdown(&request.id, started.elapsed()), true),
@@ -713,7 +713,7 @@ fn handle_run(shared: &Shared, request: &Request, started: Instant) -> Json {
         },
         snapshot: sink.snapshot(),
         pool: None,
-        cache: desc_experiments::cache::active().map(|store| store.report()),
+        cache: Some(desc_experiments::cache::active().report()),
         serve: Some(shared.serve_report()),
         spans: Vec::new(),
     };

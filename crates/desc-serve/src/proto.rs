@@ -267,14 +267,10 @@ pub fn ok_run(
 }
 
 /// A successful `ping` response with the server's live `serve` and
-/// (when a store is installed) `cache` stanzas.
+/// `cache` stanzas.
 #[must_use]
-pub fn ok_ping(id: &str, elapsed: Duration, serve: Json, cache: Option<Json>) -> Json {
-    let mut out = response_ok(id, elapsed).with("serve", serve);
-    if let Some(cache) = cache {
-        out = out.with("cache", cache);
-    }
-    out
+pub fn ok_ping(id: &str, elapsed: Duration, serve: Json, cache: Json) -> Json {
+    response_ok(id, elapsed).with("serve", serve).with("cache", cache)
 }
 
 /// A successful `shutdown` acknowledgement.

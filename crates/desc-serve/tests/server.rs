@@ -57,8 +57,8 @@ fn tiny_request(id: &str) -> RunRequest {
 
 /// The `metrics` stanza a `repro`-style direct run records for the
 /// same cells, captured through a sink exactly as a request capture
-/// is. Computed without any cache store installed, so it exercises
-/// the pure compute path the service must match byte for byte.
+/// is. Computed on a fresh memory-only store, so every cell is a cold
+/// compute the service must match byte for byte.
 fn expected_metrics() -> String {
     desc_experiments::cache::install(None);
     desc_telemetry::set_enabled(true);
@@ -209,50 +209,47 @@ fn concurrent_duplicate_requests_compute_each_cold_cell_exactly_once() {
     assert!(distinct_cells > 0, "the sweep must have at least one cell");
 
     // Concurrent duplicates: four clients submit the same cold sweep
-    // simultaneously against a fresh store.
-    let store = Arc::new(desc_cache::CacheStore::in_memory(version));
-    desc_experiments::cache::install(Some(Arc::clone(&store)));
-    let clients: Vec<_> = (0..4)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr).expect("client connects");
-                c.request(&tiny_request(&format!("dup-{i}")).to_json()).expect("run round-trip")
-            })
-        })
-        .collect();
+    // simultaneously against a fresh store, installed or (as in a
+    // server without `--cache-dir`) the default one.
     let mut shared_cells = 0;
-    for handle in clients {
-        let reply = handle.join().expect("client thread");
-        assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"), "{}", reply.to_pretty());
-        let metrics = reply
-            .get("report")
-            .and_then(|r| r.get("metrics"))
-            .expect("report has metrics")
-            .to_pretty();
-        assert_eq!(metrics, expected, "duplicate responses must match a direct run byte for byte");
-        shared_cells += reply.get("dedup_cells").and_then(Json::as_u64).expect("dedup_cells key");
+    for store in [Some(Arc::new(desc_cache::CacheStore::in_memory(version))), None] {
+        desc_experiments::cache::install(store);
+        let shared_before = shared_cells;
+        let clients: Vec<_> = (0..4)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr).expect("client connects");
+                    c.request(&tiny_request(&format!("dup-{i}")).to_json()).expect("run round-trip")
+                })
+            })
+            .collect();
+        for handle in clients {
+            let reply = handle.join().expect("client thread");
+            let status = reply.get("status").and_then(Json::as_str);
+            assert_eq!(status, Some("ok"), "{}", reply.to_pretty());
+            let metrics = reply.get("report").and_then(|r| r.get("metrics")).expect("metrics");
+            assert_eq!(metrics.to_pretty(), expected, "duplicates must match a direct run");
+            shared_cells += reply.get("dedup_cells").and_then(Json::as_u64).expect("dedup_cells");
+        }
+
+        // The tentpole invariant: four overlapping demanders, each
+        // cold cell computed (and stored) exactly once, the rest
+        // shared. The store's counters come over the wire.
+        let mut c = Client::connect(addr).expect("ping client");
+        let pong = c.request(&ping_request("dedup-stats")).expect("ping round-trip");
+        let cache = pong.get("cache").expect("ping has a cache stanza");
+        for counter in ["stores", "inflight_leads"] {
+            let value = cache.get(counter).and_then(Json::as_u64);
+            assert_eq!(value, Some(distinct_cells), "{counter}: {}", cache.to_pretty());
+        }
+        assert!(shared_cells > shared_before, "concurrent duplicates must share a cell");
+
+        // The server accounts the sharing cumulatively.
+        let serve = pong.get("serve").expect("serve stanza");
+        assert_eq!(serve.get("dedup_cells").and_then(Json::as_u64), Some(shared_cells));
+        assert!(serve.get("dedup_requests").and_then(Json::as_u64) >= Some(1));
     }
     desc_experiments::cache::install(None);
-
-    // The tentpole invariant: four overlapping demanders, each cold
-    // cell computed (and stored) exactly once, the rest shared.
-    let stats = store.stats();
-    assert_eq!(
-        stats.stores, distinct_cells,
-        "every cold cell must be computed exactly once across duplicates (stats: {stats:?})"
-    );
-    assert_eq!(stats.inflight_leads, distinct_cells, "{stats:?}");
-    assert!(
-        shared_cells >= 1,
-        "concurrent duplicates must share at least one in-flight cell (stats: {stats:?})"
-    );
-
-    // The server accounts the sharing cumulatively.
-    let mut c = Client::connect(addr).expect("ping client");
-    let pong = c.request(&ping_request("dedup-stats")).expect("ping round-trip");
-    let serve = pong.get("serve").expect("serve stanza");
-    assert_eq!(serve.get("dedup_cells").and_then(Json::as_u64), Some(shared_cells));
-    assert!(serve.get("dedup_requests").and_then(Json::as_u64) >= Some(1));
 
     shutdown(addr);
     server.join().expect("server thread").expect("clean drain");
@@ -261,8 +258,7 @@ fn concurrent_duplicate_requests_compute_each_cold_cell_exactly_once() {
 #[test]
 fn a_small_request_completes_while_a_large_sweep_is_in_flight() {
     let _guard = serialize();
-    let version = desc_experiments::cache::CELL_SCHEMA_VERSION;
-    desc_experiments::cache::install(Some(Arc::new(desc_cache::CacheStore::in_memory(version))));
+    desc_experiments::cache::install(None);
     let (addr, server) = start_server(ServeConfig { workers: 2, ..ServeConfig::default() });
 
     // A deliberately large sweep (~20x the probe) under its own client
@@ -429,6 +425,8 @@ fn tables_render_like_repro_and_csv_like_repro_csv() {
     scale.accesses = ACCESSES as usize;
     let direct = desc_experiments::run_experiment("fig16", &scale);
 
+    // A fresh store: the service computes its own cells.
+    desc_experiments::cache::install(None);
     let (addr, server) = start_server(ServeConfig::default());
     let mut c = Client::connect(addr).expect("client connects");
     let request = RunRequest { tables: Tables::Text, ..tiny_request("tables-text") };
@@ -457,45 +455,63 @@ fn tables_render_like_repro_and_csv_like_repro_csv() {
 fn serve_binary_listens_answers_and_drains_clean() {
     let _guard = serialize();
     let dir = scratch_dir("bin");
-    use std::io::BufRead;
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--cache-dir", dir.to_str().unwrap()])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn serve binary");
+    // With `--cache-dir` the binary persists its store under it;
+    // without, the store is memory-only. Either way it keeps results.
+    for cache_dir in [Some(dir.to_str().unwrap()), None] {
+        use std::io::BufRead;
+        let mut args = vec!["--addr", "127.0.0.1:0", "--workers", "2"];
+        args.extend(cache_dir.into_iter().flat_map(|d| ["--cache-dir", d]));
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(&args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn serve binary");
 
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    let banner = lines.next().expect("serve prints a listening line").expect("readable stdout");
-    let addr = banner
-        .strip_prefix("serve: listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
-        .to_owned();
+        let stdout = child.stdout.take().expect("piped stdout");
+        let mut lines = std::io::BufReader::new(stdout).lines();
+        let banner = lines.next().expect("serve prints a listening line").expect("readable stdout");
+        let addr = banner
+            .strip_prefix("serve: listening on ")
+            .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+            .to_owned();
 
-    let mut c = Client::connect(addr.as_str()).expect("connect to binary");
-    let pong = c.request(&ping_request("hello")).expect("ping binary");
-    assert_eq!(pong.get("status").and_then(Json::as_str), Some("ok"));
+        let mut c = Client::connect(addr.as_str()).expect("connect to binary");
+        let pong = c.request(&ping_request("hello")).expect("ping binary");
+        assert_eq!(pong.get("status").and_then(Json::as_str), Some("ok"));
+        let cache = pong.get("cache").expect("ping has a cache stanza");
+        assert_eq!(cache.get("dir").is_some(), cache_dir.is_some(), "{}", cache.to_pretty());
 
-    let reply = c.request(&tiny_request("bin-run").to_json()).expect("run on binary");
-    assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"), "{}", reply.to_pretty());
-    // The binary installed the store: the run's report carries the
-    // cache stanza with stores recorded.
-    let cache = reply.get("report").and_then(|r| r.get("cache")).expect("cache stanza");
-    assert!(cache.get("stores").and_then(Json::as_u64) > Some(0));
+        // A repeat request is served from memory: no cell misses again.
+        let mut run = |id: &str| {
+            let reply = c.request(&tiny_request(id).to_json()).expect("run on binary");
+            assert_eq!(
+                reply.get("status").and_then(Json::as_str),
+                Some("ok"),
+                "{}",
+                reply.to_pretty()
+            );
+            let cache = reply.get("report").and_then(|r| r.get("cache")).expect("cache stanza");
+            ["stores", "hits_memory", "misses"].map(|k| cache.get(k).and_then(Json::as_u64))
+        };
+        let [stores, hits, misses] = run("bin-run");
+        let [_, hits_repeat, misses_repeat] = run("bin-repeat");
+        assert!(stores > Some(0) && misses > Some(0), "the first request computes its cells");
+        assert!(hits_repeat > hits, "the repeat must hit the memory tier");
+        assert_eq!(misses_repeat, misses, "the repeat must not recompute a cell");
 
-    let bye = c.request(&shutdown_request("bye")).expect("shutdown binary");
-    assert_eq!(bye.get("status").and_then(Json::as_str), Some("ok"));
-    let status = child.wait().expect("binary exits");
-    assert!(status.success(), "clean drain must exit 0, got {status:?}");
+        let bye = c.request(&shutdown_request("bye")).expect("shutdown binary");
+        assert_eq!(bye.get("status").and_then(Json::as_str), Some("ok"));
+        let status = child.wait().expect("binary exits");
+        assert!(status.success(), "clean drain must exit 0, got {status:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn round_trips_cost_the_work_not_a_tcp_timer() {
     let _guard = serialize();
-    let version = desc_experiments::cache::CELL_SCHEMA_VERSION;
-    desc_experiments::cache::install(Some(Arc::new(desc_cache::CacheStore::in_memory(version))));
+    desc_experiments::cache::install(None);
     let (addr, server) = start_server(ServeConfig::default());
 
     // A raw connection that leaves `TCP_NODELAY` off, like a client

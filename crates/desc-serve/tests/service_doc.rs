@@ -84,7 +84,7 @@ fn service_document_matches_the_wire_encoders() {
     flatten("response", &run, &mut emitted);
     let serve = Json::obj();
     let cache = Json::obj();
-    flatten("response", &proto::ok_ping("id", Duration::ZERO, serve, Some(cache)), &mut emitted);
+    flatten("response", &proto::ok_ping("id", Duration::ZERO, serve, cache), &mut emitted);
     flatten("response", &proto::ok_shutdown("id", Duration::ZERO), &mut emitted);
     flatten(
         "response",

@@ -8,7 +8,6 @@
 use desc_serve::client::{shutdown_request, Client, RunRequest};
 use desc_serve::{ServeConfig, Server};
 use desc_telemetry::Json;
-use std::sync::Arc;
 
 const ACCESSES: u64 = 200;
 
@@ -16,9 +15,8 @@ const ACCESSES: u64 = 200;
 fn serve_keeps_no_spans_between_requests() {
     // A warm hot tier makes the 30 requests cheap; each still records
     // one `cell` span per cell plus its `region` span. Count one
-    // request's worth by running the same cells directly, warm.
-    let version = desc_experiments::cache::CELL_SCHEMA_VERSION;
-    desc_experiments::cache::install(Some(Arc::new(desc_cache::CacheStore::in_memory(version))));
+    // request's worth by running the same cells directly, warm from
+    // the process's default store.
     desc_telemetry::set_enabled(true);
     let mut scale = desc_experiments::Scale::tiny();
     scale.accesses = ACCESSES as usize;
