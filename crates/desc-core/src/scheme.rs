@@ -26,8 +26,10 @@ use crate::cost::{TransferCost, WireBudget};
 /// ```
 /// Schemes are `Send` so drivers can replicate one per L2 bank (via
 /// [`TransferScheme::clone_box`]) and simulate the banks on worker
-/// threads; every implementation is plain owned data.
-pub trait TransferScheme: Send {
+/// threads; every implementation is plain owned data. Their `Debug`
+/// form spells out every constructor argument, so two differently
+/// built schemes never print alike.
+pub trait TransferScheme: Send + std::fmt::Debug {
     /// Human-readable scheme name, matching the paper's figure legends
     /// (e.g. `"Zero Skipped DESC"`).
     fn name(&self) -> &'static str;

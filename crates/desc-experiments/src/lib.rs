@@ -111,6 +111,8 @@ mod tests {
 
     #[test]
     fn every_listed_experiment_runs_at_tiny_scale() {
+        // Every key demanded on the way is checked against the scheme
+        // construction that first demanded it (`cache::note_demand`).
         let scale = Scale::tiny();
         for name in experiment_names() {
             let table = run_experiment(name, &scale);
