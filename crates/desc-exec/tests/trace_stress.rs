@@ -9,6 +9,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 const OUTER: usize = 24;
 const INNER: usize = 16;
@@ -23,10 +26,26 @@ fn stressed_pool_produces_a_complete_attributed_timeline() {
 
     // Nested fan-out: OUTER cells, each spinning briefly, each opening
     // its own span, and each submitting an INNER region — the shape of
-    // a figure sweep over sharded simulations.
+    // a figure sweep over sharded simulations. On a loaded host a short
+    // cell can finish before a second pool thread wakes, so each cell
+    // first waits (up to a shared 5 s deadline) until two distinct
+    // threads have entered one.
     let work = AtomicU64::new(0);
+    let entered: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+    let deadline = Instant::now() + Duration::from_secs(5);
     let totals = desc_exec::run_labeled("stress-outer", OUTER, 4, |c| {
         let _span = desc_telemetry::span("stress-cell", format!("cell{c}"));
+        let two_entered = || {
+            let mut threads = entered.lock().expect("entered");
+            let me = thread::current().id();
+            if !threads.contains(&me) {
+                threads.push(me);
+            }
+            threads.len() >= 2
+        };
+        while !two_entered() && Instant::now() < deadline {
+            thread::yield_now();
+        }
         let inner = desc_exec::run_labeled("stress-inner", INNER, 2, |p| {
             // Enough work for a nonzero clock reading now and then.
             let mut acc = 0u64;

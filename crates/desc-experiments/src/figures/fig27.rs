@@ -2,6 +2,11 @@
 //! for binary and zero-skipped DESC, normalised to the 8 MB binary
 //! cache. Paper: DESC improves energy 1.87× (512 KB) to 1.75×
 //! (64 MB).
+//!
+//! One sweep cell per (capacity, app) runs both schemes, binary first:
+//! the two share one L2 outcome stream (DESIGN.md §10), so a cell
+//! reuses the stream it just computed instead of a second worker
+//! waiting for it. Each scheme is still its own stored cell.
 
 use crate::common::{run_custom_keyed, run_matrix, Scale};
 use crate::table::{r2, Table};
@@ -16,42 +21,39 @@ pub const CAPACITIES: [usize; 8] =
 #[must_use]
 pub fn run(scale: &Scale) -> Table {
     let suite = scale.suite();
-    let configs: Vec<(usize, SchemeKind)> = CAPACITIES
-        .into_iter()
-        .flat_map(|cap| {
-            [SchemeKind::ConventionalBinary, SchemeKind::ZeroSkippedDesc]
-                .into_iter()
-                .map(move |kind| (cap, kind))
-        })
-        .collect();
-    let per_app = run_matrix(&configs, &suite, scale, |&(capacity, kind), p| {
+    let per_app = run_matrix(&CAPACITIES, &suite, scale, |&capacity, p| {
         let mut cfg = SimConfig::paper_multithreaded();
         cfg.l2.capacity_bytes = capacity;
-        let overhead = if kind.is_desc() { 1.03 } else { 1.0 };
-        run_custom_keyed(
-            &format!("paper:{kind:?}"),
-            kind.build_paper_config(),
-            cfg,
-            p,
-            scale,
-            overhead,
-        )
-        .l2_energy()
+        let energy = |kind: SchemeKind, overhead| {
+            run_custom_keyed(
+                &format!("paper:{kind:?}"),
+                kind.build_paper_config(),
+                cfg,
+                p,
+                scale,
+                overhead,
+            )
+            .l2_energy()
+        };
+        let bin = energy(SchemeKind::ConventionalBinary, 1.0);
+        (bin, energy(SchemeKind::ZeroSkippedDesc, 1.03))
     });
-    let sums: Vec<f64> =
-        (0..configs.len()).map(|c| per_app.iter().map(|row| row[c]).sum()).collect();
-    let base_index = configs
+    let sums: Vec<(f64, f64)> = (0..CAPACITIES.len())
+        .map(|c| {
+            (per_app.iter().map(|row| row[c].0).sum(), per_app.iter().map(|row| row[c].1).sum())
+        })
+        .collect();
+    let base_index = CAPACITIES
         .iter()
-        .position(|&c| c == (8 << 20, SchemeKind::ConventionalBinary))
+        .position(|&c| c == 8 << 20)
         .expect("the 8MB binary baseline is part of the sweep");
-    let base = sums[base_index];
+    let base = sums[base_index].0;
     let mut t = Table::new(
         "Fig. 27: L2 energy vs capacity (normalised to 8MB binary)",
         &["Capacity", "Binary", "Zero-skip DESC", "DESC improvement"],
     );
-    for (i, cap) in CAPACITIES.into_iter().enumerate() {
-        let bin = sums[2 * i] / base;
-        let desc = sums[2 * i + 1] / base;
+    for (cap, (bin, desc)) in CAPACITIES.into_iter().zip(sums) {
+        let (bin, desc) = (bin / base, desc / base);
         let label =
             if cap >= 1 << 20 { format!("{}MB", cap >> 20) } else { format!("{}KB", cap >> 10) };
         t.row_owned(vec![label, r2(bin), r2(desc), format!("{:.2}x", bin / desc)]);

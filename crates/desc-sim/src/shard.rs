@@ -8,12 +8,14 @@
 //! - the decomposition rule ([`Cell::new`]): one partition per bank
 //!   when the bank count is a power of two no larger than the set
 //!   count, otherwise one partition for all banks;
-//! - the cell's scheme-independent half, its per-partition outcome
-//!   streams ([`Cell::stream`]): the trace, generated once and
-//!   bucketed per partition, replayed through the partition's warmed
-//!   [`SetAssocCache::bank_slice`] directory;
-//! - the outcome-stream memo, which computes those streams once for
-//!   every scheme that runs the same cell;
+//! - the cell's scheme-independent half, its outcome stream: the
+//!   trace, generated once and bucketed per directory slice, replayed
+//!   through each slice's warmed [`SetAssocCache::bank_slice`]
+//!   directory and merged back into program order;
+//! - the outcome-stream memo, which computes that stream once for
+//!   every cell over the same input;
+//! - the split of the stream into the cell's partitions
+//!   ([`Cell::stream`]);
 //! - a partition's bank channels ([`Cell::channels`]): one power-on
 //!   [`TransferScheme`] replica each, handed over through the
 //!   partition's own state;
@@ -25,22 +27,34 @@
 //!
 //! Which accesses hit, miss or write back depends on the trace and the
 //! directory geometry only, never on the scheme, the bus width, the
-//! core model or the DRAM, so a sweep that runs one cell under several
-//! schemes shares one outcome stream. The memo is the workspace's one
-//! bounded single-flight memo ([`desc_cache::memo::Memo`], the cell
-//! store's hot tier too), keyed by exactly the functional inputs
-//! (`StreamKey`) and holding at most [`MEMO_BYTES`] of streams under
-//! LRU eviction: concurrent demanders of one key compute it once, a
-//! waiting follower polls [`desc_exec::check_cancelled`], and a leader
-//! that unwinds hands the key to a waiter. The leader's compute is a
-//! `"streams"` span on the execution timeline. The memo lives only in
-//! memory: a stream is worth nothing without the per-scheme passes,
-//! whose results the cell cache already stores.
+//! core model, the DRAM or the bank count, so every cell over one input
+//! shares one outcome stream: a sweep over schemes, over bank counts
+//! (fig22, fig25) and over organisations (UCA and S-NUCA) alike. Bank
+//! slices reproduce the full directory exactly, so the leader slices
+//! its compute by its own partition count, and every cell, the leader
+//! included, splits the program-order stream by `home_bank % parts`
+//! into its own partitions.
+//!
+//! The memo is the workspace's one bounded single-flight memo
+//! ([`desc_cache::memo::Memo`], the cell store's hot tier too), keyed
+//! by exactly the functional inputs (`StreamKey`) and holding at most
+//! [`MEMO_BYTES`] of streams under LRU eviction: concurrent demanders
+//! of one key compute it once, a waiting follower polls
+//! [`desc_exec::check_cancelled`], and a leader that unwinds hands the
+//! key to a waiter. The leader's compute is a `"streams"` span on the
+//! execution timeline. The memo lives only in memory: a stream is
+//! worth nothing without the per-scheme passes, whose results the cell
+//! cache already stores.
 //!
 //! A cell that reuses a stream records the trace tally
 //! (`workloads.accesses_generated`) the leader's generator recorded,
 //! so a cell's metric delta does not depend on who computed its
 //! stream.
+//!
+//! The warmup (twice the directory's capacity in blocks, so most of a
+//! compute) is held one word per access: trace addresses are 64-byte
+//! aligned, so the write flag and the core (below 32, as the
+//! directory's sharer set needs) pack into the low bits.
 //!
 //! Partitions run on the shared [`desc_exec`] pool with
 //! [`SimConfig::shards`] as the region's concurrency cap. `shards` is
@@ -61,9 +75,9 @@ use desc_core::TransferScheme;
 use desc_workloads::{Access, BenchmarkId, BenchmarkProfile, ValueStream};
 use std::sync::{Arc, OnceLock};
 
-/// Byte budget of the outcome-stream memo: 32 quick-scale cells
+/// Byte budget of the outcome-stream memo: 32 quick-scale streams
 /// (4 000 accesses of 16 bytes) or six full-scale ones, enough to
-/// cover the schemes a sweep runs over one input in a row.
+/// cover the cells a sweep runs over one input in a row.
 const MEMO_BYTES: u64 = 2 << 20;
 
 /// One measured access of an outcome stream: what the directory
@@ -80,16 +94,18 @@ pub(crate) struct Outcome {
 
 const _: () = assert!(std::mem::size_of::<Outcome>() == 16);
 
-/// A partition's outcome stream: its measured accesses in program
-/// order, and the L1 invalidations its directory counted after warmup.
+/// A cell's outcome stream: every measured access in program order,
+/// and the L1 invalidations the directory counted after warmup.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub(crate) struct Stream {
-    pub outcomes: Vec<Outcome>,
-    pub invalidations: u64,
+struct Stream {
+    outcomes: Vec<Outcome>,
+    invalidations: u64,
 }
 
-/// The functional inputs of a cell: everything its outcome streams
-/// depend on and nothing else.
+/// The functional inputs of a cell: everything its outcome stream
+/// depends on and nothing else. The bank count is not one: bank slices
+/// reproduce the full directory exactly, so every bank count sees the
+/// same outcomes and the same invalidation total.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct StreamKey {
     bench: BenchmarkId,
@@ -103,17 +119,10 @@ struct StreamKey {
     capacity_bytes: usize,
     block_bytes: usize,
     associativity: usize,
-    banks: usize,
 }
 
 impl StreamKey {
-    fn new(
-        cfg: &SimConfig,
-        banks: usize,
-        profile: &BenchmarkProfile,
-        seed: u64,
-        accesses: usize,
-    ) -> Self {
+    fn new(cfg: &SimConfig, profile: &BenchmarkProfile, seed: u64, accesses: usize) -> Self {
         Self {
             bench: profile.id,
             cores: profile.cores,
@@ -126,13 +135,12 @@ impl StreamKey {
             capacity_bytes: cfg.l2.capacity_bytes,
             block_bytes: cfg.l2.block_bytes,
             associativity: cfg.l2.associativity,
-            banks,
         }
     }
 }
 
-fn stream_memo() -> &'static Memo<StreamKey, Vec<Stream>> {
-    static MEMO: OnceLock<Memo<StreamKey, Vec<Stream>>> = OnceLock::new();
+fn stream_memo() -> &'static Memo<StreamKey, Stream> {
+    static MEMO: OnceLock<Memo<StreamKey, Stream>> = OnceLock::new();
     MEMO.get_or_init(|| Memo::new(MEMO_BYTES))
 }
 
@@ -150,13 +158,16 @@ pub(crate) struct Cell<'a> {
     /// Core cycles per access before any L2 stall.
     pub base_cpa: f64,
     base_cycles: u64,
-    streams: Arc<Vec<Stream>>,
+    /// The outcome stream split by partition, each in program order.
+    outcomes: Vec<Vec<Outcome>>,
+    /// L1 invalidations the directory counted after warmup.
+    pub invalidations: u64,
 }
 
 impl<'a> Cell<'a> {
     /// Decomposes a cell of `accesses` accesses of `profile` over
-    /// `banks` banks and takes its outcome streams from the memo,
-    /// computing them if no earlier cell did.
+    /// `banks` banks, takes its outcome stream from the memo (computing
+    /// it if no earlier cell did) and splits it by partition.
     ///
     /// Set index and bank id are both low block-address bits, so a
     /// power-of-two bank count no larger than the set count gives each
@@ -176,9 +187,8 @@ impl<'a> Cell<'a> {
     ) -> Self {
         assert!(accesses > 0, "simulate at least one access");
         assert!(accesses < u32::MAX as usize, "measured window exceeds u32 program indices");
+        let parts = partitions(cfg, banks);
         let capacity_blocks = cfg.l2.capacity_bytes / cfg.l2.block_bytes;
-        let set_count = capacity_blocks / cfg.l2.associativity;
-        let parts = if banks.is_power_of_two() && banks <= set_count { banks } else { 1 };
         // Warmup brings the directory to steady state so measurements
         // exclude cold-start compulsory misses (the paper runs
         // applications to completion; we measure a steady-state
@@ -186,28 +196,36 @@ impl<'a> Cell<'a> {
         // energy.
         let warmup = (2 * capacity_blocks).max(accesses);
 
-        let key = StreamKey::new(cfg, banks, profile, seed, accesses);
-        let streams = match stream_memo().claim(key, &mut desc_exec::check_cancelled) {
-            Claim::Ready(streams) | Claim::Shared(streams) => {
+        let key = StreamKey::new(cfg, profile, seed, accesses);
+        let stream = match stream_memo().claim(key, &mut desc_exec::check_cancelled) {
+            Claim::Ready(stream) | Claim::Shared(stream) => {
                 if desc_telemetry::enabled() {
                     desc_telemetry::counter!("workloads.accesses_generated")
                         .add((warmup + accesses) as u64);
                 }
-                streams
+                stream
             }
             Claim::Lead(lease) => {
-                let streams = {
+                let stream = {
                     let _span = desc_telemetry::span("streams", profile.name);
-                    Arc::new(outcome_streams(cfg, banks, parts, profile, seed, warmup, accesses))
+                    Arc::new(outcome_stream(cfg, parts, profile, seed, warmup, accesses))
                 };
-                lease.publish(Arc::clone(&streams), stream_bytes(&streams));
-                streams
+                let bytes = std::mem::size_of::<Stream>()
+                    + stream.outcomes.capacity() * std::mem::size_of::<Outcome>();
+                lease.publish(Arc::clone(&stream), bytes as u64);
+                stream
             }
         };
 
         let base_cpa = 1000.0 / (profile.l2_apki * profile.cores as f64 * profile.base_ipc);
         let base_cycles = (accesses as f64 * base_cpa).ceil() as u64;
-        Self { cfg, profile, seed, banks, parts, base_cpa, base_cycles, streams }
+        let mut outcomes: Vec<Vec<Outcome>> =
+            (0..parts).map(|_| Vec::with_capacity(share(accesses, parts))).collect();
+        for &o in &stream.outcomes {
+            outcomes[home_bank(o.addr, cfg.l2.block_bytes as u64, banks) % parts].push(o);
+        }
+        let invalidations = stream.invalidations;
+        Self { cfg, profile, seed, banks, parts, base_cpa, base_cycles, outcomes, invalidations }
     }
 
     /// Home bank of `addr`.
@@ -215,9 +233,9 @@ impl<'a> Cell<'a> {
         home_bank(addr, self.cfg.l2.block_bytes as u64, self.banks)
     }
 
-    /// Partition `p`'s outcome stream.
-    pub(crate) fn stream(&self, p: usize) -> &Stream {
-        &self.streams[p]
+    /// Partition `p`'s measured accesses, in program order.
+    pub(crate) fn stream(&self, p: usize) -> &[Outcome] {
+        &self.outcomes[p]
     }
 
     /// `n` power-on replicas of `scheme`, cloned on the calling thread
@@ -271,6 +289,17 @@ impl<'a> Cell<'a> {
     }
 }
 
+/// The partition count of a cell over `banks` banks: `banks` when it is
+/// a power of two no larger than the set count, else 1.
+fn partitions(cfg: &SimConfig, banks: usize) -> usize {
+    let set_count = cfg.l2.capacity_bytes / cfg.l2.block_bytes / cfg.l2.associativity;
+    if banks.is_power_of_two() && banks <= set_count {
+        banks
+    } else {
+        1
+    }
+}
+
 /// Runs `part_fn(p, &mut states[p])` for every partition with at most
 /// [`SimConfig::shards`] in flight on the shared pool.
 ///
@@ -290,33 +319,59 @@ where
     });
 }
 
-/// Computes a cell's outcome streams: the trace, one sequential RNG
-/// stream bucketed by owning partition as it is generated, replayed
-/// per partition through its warmed directory slice.
-fn outcome_streams(
+/// Packs a warmup access into one word: trace addresses are 64-byte
+/// aligned, which leaves bit 0 for the write flag and bits 1–5 for a
+/// core below 32.
+fn pack(Access { addr, write, core }: Access) -> u64 {
+    debug_assert_eq!(addr % 64, 0, "trace addresses are 64-byte aligned");
+    addr | u64::from(core) << 1 | u64::from(write)
+}
+
+/// The `(addr, write, core)` a [`pack`]ed word holds.
+fn unpack(word: u64) -> (u64, bool, u8) {
+    (word & !63, word & 1 != 0, (word >> 1) as u8 & 31)
+}
+
+/// Bucket capacity for a partition's share of `n` accesses: about
+/// `n / parts`, give or take a few times its square root; the slack
+/// covers that without reserving a multiple of the trace across 128
+/// buckets.
+fn share(n: usize, parts: usize) -> usize {
+    n / parts + n / (16 * parts) + 64
+}
+
+/// Computes a cell's outcome stream: the trace, one sequential RNG
+/// stream bucketed by directory slice as it is generated (warmup
+/// accesses [`pack`]ed into one word each), replayed per slice through
+/// its warmed [`SetAssocCache::bank_slice`] directory, and merged back
+/// into program order. Slices reproduce the full directory exactly, so
+/// the result is the same for any power-of-two `parts` no larger than
+/// the set count, or 1.
+///
+/// # Panics
+///
+/// Panics if the profile has more than 32 cores: the directory's
+/// sharer set and the packed core field both hold 32.
+fn outcome_stream(
     cfg: &SimConfig,
-    banks: usize,
     parts: usize,
     profile: &BenchmarkProfile,
     seed: u64,
     warmup: usize,
     accesses: usize,
-) -> Vec<Stream> {
+) -> Stream {
+    assert!(profile.cores <= 32, "{} cores exceed the directory's 32 sharers", profile.cores);
     let l2 = &cfg.l2;
-    // A partition's share of `n` accesses is about `n / parts`, give
-    // or take a few times its square root; the slack covers that
-    // without reserving a multiple of the trace across 128 buckets.
-    let share = |n: usize| n / parts + n / (16 * parts) + 64;
     let mut trace = profile.trace(seed);
-    let mut warm: Vec<Vec<Access>> =
-        (0..parts).map(|_| Vec::with_capacity(share(warmup))).collect();
+    let mut warm: Vec<Vec<u64>> =
+        (0..parts).map(|_| Vec::with_capacity(share(warmup, parts))).collect();
     let mut meas: Vec<Vec<(u32, Access)>> =
-        (0..parts).map(|_| Vec::with_capacity(share(accesses))).collect();
+        (0..parts).map(|_| Vec::with_capacity(share(accesses, parts))).collect();
     for i in 0..warmup + accesses {
         let a = trace.next_access();
-        let p = home_bank(a.addr, l2.block_bytes as u64, banks) % parts;
+        let p = home_bank(a.addr, l2.block_bytes as u64, parts);
         if i < warmup {
-            warm[p].push(a);
+            warm[p].push(pack(a));
         } else {
             meas[p].push(((i - warmup) as u32, a));
         }
@@ -326,8 +381,8 @@ fn outcome_streams(
     // `Cell::new`.
     drop(trace);
 
-    let mut streams: Vec<Stream> = (0..parts).map(|_| Stream::default()).collect();
-    run_parts(cfg, &mut streams, |p, stream| {
+    let mut slices: Vec<Stream> = (0..parts).map(|_| Stream::default()).collect();
+    run_parts(cfg, &mut slices, |p, slice| {
         let mut dir = SetAssocCache::bank_slice(
             l2.capacity_bytes,
             l2.block_bytes,
@@ -335,11 +390,12 @@ fn outcome_streams(
             parts,
             p,
         );
-        for &Access { addr, write, core } in &warm[p] {
+        for &word in &warm[p] {
+            let (addr, write, core) = unpack(word);
             let _ = dir.access(addr, write, core);
         }
         let at_warmup = dir.invalidations();
-        stream.outcomes = meas[p]
+        slice.outcomes = meas[p]
             .iter()
             .map(|&(idx, Access { addr, write, core })| Outcome {
                 addr,
@@ -348,20 +404,17 @@ fn outcome_streams(
                 result: dir.access(addr, write, core),
             })
             .collect();
-        stream.invalidations = dir.invalidations() - at_warmup;
+        slice.invalidations = dir.invalidations() - at_warmup;
     });
-    streams
-}
 
-/// Heap bytes of a cell's outcome streams, as the memo budgets them.
-fn stream_bytes(streams: &[Stream]) -> u64 {
-    streams
-        .iter()
-        .map(|s| {
-            (std::mem::size_of::<Stream>() + s.outcomes.capacity() * std::mem::size_of::<Outcome>())
-                as u64
-        })
-        .sum()
+    // The slices' indices are exactly 0..accesses, so merging them back
+    // into program order is a scatter.
+    let blank = Outcome { addr: 0, idx: 0, write: false, result: CacheOutcome::Hit };
+    let mut outcomes = vec![blank; accesses];
+    for o in slices.iter().flat_map(|s| &s.outcomes) {
+        outcomes[o.idx as usize] = *o;
+    }
+    Stream { outcomes, invalidations: slices.iter().map(|s| s.invalidations).sum() }
 }
 
 /// One bank channel of a partition: its scheme replica (wire state is
@@ -449,7 +502,7 @@ mod tests {
         let cell = Cell::new(&cfg, cfg.l2.banks, &profile, 7, 3_000);
         let mut seen = Vec::new();
         for p in 0..cell.parts {
-            let outcomes = &cell.stream(p).outcomes;
+            let outcomes = cell.stream(p);
             assert!(outcomes.windows(2).all(|w| w[0].idx < w[1].idx), "program order in p{p}");
             assert!(outcomes.iter().all(|o| cell.bank(o.addr) % cell.parts == p));
             seen.extend(outcomes.iter().map(|o| o.idx));
@@ -465,17 +518,16 @@ mod tests {
         cfg
     }
 
-    fn fresh_streams(
+    /// A freshly computed stream of 2 000 accesses, split as a cell over
+    /// `banks` banks splits it.
+    fn fresh_stream(
         cfg: &SimConfig,
         banks: usize,
         profile: &BenchmarkProfile,
         seed: u64,
-    ) -> Vec<Stream> {
-        let capacity_blocks = cfg.l2.capacity_bytes / cfg.l2.block_bytes;
-        let set_count = capacity_blocks / cfg.l2.associativity;
-        let parts = if banks.is_power_of_two() && banks <= set_count { banks } else { 1 };
-        let warmup = (2 * capacity_blocks).max(2_000);
-        outcome_streams(cfg, banks, parts, profile, seed, warmup, 2_000)
+    ) -> Stream {
+        let warmup = (2 * cfg.l2.capacity_bytes / cfg.l2.block_bytes).max(2_000);
+        outcome_stream(cfg, partitions(cfg, banks), profile, seed, warmup, 2_000)
     }
 
     #[test]
@@ -485,10 +537,8 @@ mod tests {
         // directory's.
         let cfg = small_cfg();
         let profile = BenchmarkId::Mg.profile();
-        let streams = fresh_streams(&cfg, cfg.l2.banks, &profile, 5);
-        assert_eq!(streams.len(), cfg.l2.banks);
-        let mut merged: Vec<Outcome> = streams.iter().flat_map(|s| s.outcomes.clone()).collect();
-        merged.sort_unstable_by_key(|o| o.idx);
+        assert_eq!(partitions(&cfg, cfg.l2.banks), cfg.l2.banks);
+        let stream = fresh_stream(&cfg, cfg.l2.banks, &profile, 5);
 
         let l2 = &cfg.l2;
         let mut full = SetAssocCache::new(l2.capacity_bytes, l2.block_bytes, l2.associativity);
@@ -509,10 +559,52 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(merged, expect);
-        let invalidations: u64 = streams.iter().map(|s| s.invalidations).sum();
-        assert_eq!(invalidations, full.invalidations() - at_warmup);
+        assert_eq!(stream.outcomes, expect);
+        assert_eq!(stream.invalidations, full.invalidations() - at_warmup);
+        assert!(stream.invalidations > 0);
         assert!(expect.iter().any(|o| o.result == CacheOutcome::Miss { writeback: true }));
+    }
+
+    #[test]
+    fn any_partitioning_computes_the_same_stream() {
+        // Which cell leads a stream decides how its compute is sliced,
+        // so no slicing may show in the stream: 3 banks run as one
+        // partition, 128 as 128 one-set-group slices.
+        let cfg = small_cfg();
+        let profile = BenchmarkId::Ocean.profile();
+        let one = fresh_stream(&cfg, 1, &profile, 11);
+        assert!(one.invalidations > 0);
+        for banks in [2, 8, 128, 3] {
+            assert_eq!(fresh_stream(&cfg, banks, &profile, 11), one, "banks={banks}");
+        }
+        assert_eq!(partitions(&cfg, 128), 128);
+        assert_eq!(partitions(&cfg, 3), 1);
+    }
+
+    #[test]
+    fn packed_warmup_accesses_round_trip() {
+        // The largest address any profile's trace can draw.
+        let top = BenchmarkId::PARALLEL
+            .iter()
+            .chain(&BenchmarkId::SPEC)
+            .map(|b| b.profile().working_set_bytes as u64 - 64)
+            .max()
+            .expect("profiles");
+        for core in [0, 31] {
+            for write in [false, true] {
+                for addr in [0, 64, top] {
+                    let a = Access { addr, write, core };
+                    assert_eq!(unpack(pack(a)), (addr, write, core), "{a:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "33 cores exceed")]
+    fn streams_reject_more_cores_than_the_sharer_set_holds() {
+        let profile = BenchmarkProfile { cores: 33, ..BenchmarkId::Ocean.profile() };
+        let _ = outcome_stream(&small_cfg(), 1, &profile, 1, 64, 64);
     }
 
     #[test]
@@ -520,11 +612,9 @@ mod tests {
         let cfg = small_cfg();
         let profile = BenchmarkId::Radix.profile();
         let banks = cfg.l2.banks;
-        let key = |cfg: &SimConfig, banks, profile: &BenchmarkProfile, seed, accesses| {
-            StreamKey::new(cfg, banks, profile, seed, accesses)
-        };
-        let base = key(&cfg, banks, &profile, 3, 2_000);
-        let base_streams = fresh_streams(&cfg, banks, &profile, 3);
+        let key = StreamKey::new;
+        let base = key(&cfg, &profile, 3, 2_000);
+        let base_stream = fresh_stream(&cfg, banks, &profile, 3);
 
         // Every keyed input moves the key, and the stream with it.
         let profiles: [(&str, BenchmarkProfile); 6] = [
@@ -548,18 +638,16 @@ mod tests {
             ),
         ];
         for (what, p) in &profiles {
-            assert_ne!(key(&cfg, banks, p, 3, 2_000), base, "{what}");
+            assert_ne!(key(&cfg, p, 3, 2_000), base, "{what}");
             if *what != "id" {
                 // The id only names the trace; its shape lives in the
                 // other fields.
-                assert_ne!(fresh_streams(&cfg, banks, p, 3), base_streams, "{what}");
+                assert_ne!(fresh_stream(&cfg, banks, p, 3), base_stream, "{what}");
             }
         }
-        assert_ne!(key(&cfg, banks, &profile, 4, 2_000), base, "seed");
-        assert_ne!(fresh_streams(&cfg, banks, &profile, 4), base_streams, "seed");
-        assert_ne!(key(&cfg, banks, &profile, 3, 2_001), base, "accesses");
-        assert_ne!(key(&cfg, 4, &profile, 3, 2_000), base, "banks");
-        assert_ne!(fresh_streams(&cfg, 4, &profile, 3), base_streams, "banks");
+        assert_ne!(key(&cfg, &profile, 4, 2_000), base, "seed");
+        assert_ne!(fresh_stream(&cfg, banks, &profile, 4), base_stream, "seed");
+        assert_ne!(key(&cfg, &profile, 3, 2_001), base, "accesses");
         let geometries: [(&str, SimConfig); 3] = {
             let mut capacity = cfg;
             capacity.l2.capacity_bytes *= 2;
@@ -570,11 +658,13 @@ mod tests {
             [("capacity_bytes", capacity), ("block_bytes", block), ("associativity", ways)]
         };
         for (what, c) in &geometries {
-            assert_ne!(key(c, banks, &profile, 3, 2_000), base, "{what}");
-            assert_ne!(fresh_streams(c, banks, &profile, 3), base_streams, "{what}");
+            assert_ne!(key(c, &profile, 3, 2_000), base, "{what}");
+            assert_ne!(fresh_stream(c, banks, &profile, 3), base_stream, "{what}");
         }
 
-        // What only the per-scheme passes read is not in the key.
+        // What only the per-scheme passes read is not in the key. The
+        // bank count is not either: every bank count computes the same
+        // stream.
         let mut others = vec![
             SimConfig::paper_out_of_order(),
             SimConfig { dram_channels: 4, ..SimConfig::default() },
@@ -588,13 +678,17 @@ mod tests {
         let mut bus = SimConfig::default();
         bus.l2.bus_width_bits = 128;
         others.push(bus);
+        let mut four_banks = SimConfig::default();
+        four_banks.l2.banks = 4;
+        others.push(four_banks);
         for mut other in others {
             other.l2.capacity_bytes = cfg.l2.capacity_bytes;
-            assert_eq!(key(&other, banks, &profile, 3, 2_000), base, "{other:?}");
+            assert_eq!(key(&other, &profile, 3, 2_000), base, "{other:?}");
         }
+        assert_eq!(fresh_stream(&cfg, 4, &profile, 3), base_stream, "banks");
         // Nor are the profile's timing and content fields.
         let timing = BenchmarkProfile { l2_apki: 99.0, base_ipc: 0.1, ..profile };
-        assert_eq!(key(&cfg, banks, &profile, 3, 2_000), key(&cfg, banks, &timing, 3, 2_000));
+        assert_eq!(key(&cfg, &profile, 3, 2_000), key(&cfg, &timing, 3, 2_000));
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl SnucaSim {
             };
 
             let mut queued_blocks = 0usize;
-            for &Outcome { addr, idx: i, result, .. } in &cell.stream(p).outcomes {
+            for &Outcome { addr, idx: i, result, .. } in cell.stream(p) {
                 let bank = cell.bank(addr);
                 let (miss, writeback) = match result {
                     CacheOutcome::Hit => (false, false),

@@ -122,7 +122,6 @@ struct PartitionSim {
     misses: u64,
     writebacks: u64,
     hit_latency_sum: u64,
-    invalidations: u64,
     hit_latency_hist: desc_telemetry::LocalHistogram,
 }
 
@@ -232,7 +231,7 @@ impl SystemSim {
             // from pinning the heap above the freed buffers (the other
             // order raised `repro --quick --jobs 2 all`'s peak RSS by
             // about 5 MB).
-            out.records.reserve(stream.outcomes.len());
+            out.records.reserve(stream.len());
             let mut channels = cell.channels(p, std::mem::take(&mut out.replicas));
             let ch = &mut channels[0];
             let mut addr_bus = Bus::new(48);
@@ -310,7 +309,7 @@ impl SystemSim {
                     }
                 };
 
-            for &Outcome { addr, idx: i, write, result } in &stream.outcomes {
+            for &Outcome { addr, idx: i, write, result } in stream {
                 let bank = cell.bank(addr);
                 out.activity.tag_lookups += 1;
                 let addr_flips = u64::from(addr_bus.drive((addr >> 6) & ((1 << 48) - 1)));
@@ -356,7 +355,6 @@ impl SystemSim {
                 }
             }
             drain(ch, &mut pending, out);
-            out.invalidations = stream.invalidations;
         });
 
         // Deterministic functional merge, fixed bank order.
@@ -366,7 +364,6 @@ impl SystemSim {
         let mut misses = 0u64;
         let mut writebacks = 0u64;
         let mut hit_latency_sum = 0u64;
-        let mut invalidations = 0u64;
         let mut hit_latency_hist = desc_telemetry::LocalHistogram::new();
         for sim in &sims {
             transfer_stats.merge(&sim.transfer);
@@ -378,7 +375,6 @@ impl SystemSim {
             misses += sim.misses;
             writebacks += sim.writebacks;
             hit_latency_sum += sim.hit_latency_sum;
-            invalidations += sim.invalidations;
             hit_latency_hist.absorb(&sim.hit_latency_hist);
         }
 
@@ -487,7 +483,7 @@ impl SystemSim {
             desc_telemetry::counter!("sim.l2.hits").add(hits);
             desc_telemetry::counter!("sim.l2.misses").add(misses);
             desc_telemetry::counter!("sim.l2.writebacks").add(writebacks);
-            desc_telemetry::counter!("sim.l2.invalidations").add(invalidations);
+            desc_telemetry::counter!("sim.l2.invalidations").add(cell.invalidations);
             hit_latency_hist.flush_into(desc_telemetry::histogram!("sim.l2.hit_latency_cycles"));
             access_latency_hist
                 .flush_into(desc_telemetry::histogram!("sim.l2.access_latency_cycles"));
@@ -506,7 +502,7 @@ impl SystemSim {
             hits,
             misses,
             writebacks,
-            invalidations,
+            invalidations: cell.invalidations,
             avg_hit_latency_cycles: if hits > 0 {
                 hit_latency_sum as f64 / hits as f64
             } else {
