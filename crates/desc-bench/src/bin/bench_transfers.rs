@@ -18,6 +18,11 @@
 //! * **batch** — scalar-vs-batched speedup per analytic scheme at slab
 //!   sizes 1/16/256: per-block `TransferScheme::transfer` calls against
 //!   one `TransferScheme::transfer_many` over the same blocks. The
+//!   rows cover the paper configurations plus the word-parallel
+//!   kernels: Fig. 15's bus-invert family at wide and narrow segments,
+//!   zero-skipped DESC at Fig. 26's 1-, 2- and 8-bit chunks, and a
+//!   64-wire binary bus. Each row first checks that both paths return
+//!   the same costs over the whole pool and exits 1 if not. The
 //!   cycle-stepped `Link` has no batched entry; it is measured only by
 //!   the scalar rows above.
 //! * **micro** — `Block::hamming_distance`'s u64 word fold against a
@@ -29,7 +34,10 @@
 
 use desc_bench::{best_rate, Harness};
 use desc_core::protocol::{Link, LinkConfig, TraceCapture};
-use desc_core::schemes::{BinaryScheme, BusInvertScheme, DescScheme, DzcScheme, SkipMode};
+use desc_core::schemes::{
+    BinaryScheme, BusInvertScheme, DescScheme, DzcScheme, EncodedZeroSkipBusInvertScheme, SkipMode,
+    ZeroSkipBusInvertScheme,
+};
 use desc_core::{Block, BlockSlab, ChunkSize, TransferCost, TransferScheme};
 use desc_telemetry::Json;
 use desc_workloads::BenchmarkId;
@@ -92,34 +100,60 @@ fn slabs_of(blocks: &[Block], batch: usize) -> Vec<BlockSlab> {
         .collect()
 }
 
-/// Times `scalar_step` per block against `batched_step` per slab over
-/// the same pool; returns (scalar, batched) blocks/sec.
-fn bench_batch(
-    blocks: &[Block],
+/// Times a fresh `scheme()`'s per-block `transfer` against another's
+/// `transfer_many` per slab of `batch` blocks over the same pool, then
+/// prints and records the row (scalar and batched blocks/sec).
+///
+/// First feeds the whole pool both ways from power-on and exits the
+/// process with status 1 if any block's cost differs, so a kernel that
+/// drifts from its scalar path fails the run instead of being timed.
+fn batch_row(
+    harness: &mut Harness,
+    mode: &str,
     batch: usize,
-    mut scalar_step: impl FnMut(&Block),
-    mut batched_step: impl FnMut(&BlockSlab),
-) -> (f64, f64) {
-    for b in blocks {
-        scalar_step(b);
+    blocks: &[Block],
+    scheme: &dyn Fn() -> Box<dyn TransferScheme>,
+) {
+    let slabs = slabs_of(blocks, batch);
+    let mut s = scheme();
+    let mut b = scheme();
+    let expected: Vec<TransferCost> = blocks.iter().map(|blk| s.transfer(blk)).collect();
+    let mut got = Vec::with_capacity(blocks.len());
+    for slab in &slabs {
+        b.transfer_many(slab, &mut got);
     }
+    if expected != got {
+        eprintln!(
+            "bench_transfers: {mode} batch {batch}: transfer_many costs differ from transfer"
+        );
+        std::process::exit(1);
+    }
+
     let mut i = 0usize;
     let scalar = best_rate(BATCH_BLOCKS_PER_REP, REPS, || {
-        scalar_step(&blocks[i % blocks.len()]);
+        black_box(s.transfer(&blocks[i % blocks.len()]).cycles);
         i += 1;
     });
-
-    let slabs = slabs_of(blocks, batch);
-    for slab in &slabs {
-        batched_step(slab);
-    }
+    let mut costs: Vec<TransferCost> = Vec::with_capacity(batch);
     let mut k = 0usize;
     let iters = (BATCH_BLOCKS_PER_REP / batch).max(1);
     let batched = best_rate(iters, REPS, || {
-        batched_step(&slabs[k % slabs.len()]);
+        costs.clear();
+        b.transfer_many(&slabs[k % slabs.len()], &mut costs);
+        black_box(costs.len());
         k += 1;
     }) * batch as f64;
-    (scalar, batched)
+
+    let speedup = batched / scalar;
+    println!("{mode:<20} {batch:>6} {scalar:>16.0} {batched:>17.0} {speedup:>7.2}x");
+    harness.push(
+        Json::obj()
+            .with("mode", Json::Str(mode.to_owned()))
+            .with("batch", Json::UInt(batch as u64))
+            .with("scalar_blocks_per_sec", Json::Num((scalar * 10.0).round() / 10.0))
+            .with("batched_blocks_per_sec", Json::Num((batched * 10.0).round() / 10.0))
+            .with("batch_speedup", Json::Num((speedup * 1000.0).round() / 1000.0)),
+    );
 }
 
 /// Byte-at-a-time Hamming distance — the pre-word-fold reference the
@@ -164,88 +198,29 @@ fn main() {
         "\n{:<20} {:>6} {:>16} {:>17} {:>8}",
         "mode", "batch", "scalar blk/s", "batched blk/s", "speedup"
     );
-    let batch_row = |harness: &mut Harness, mode: &str, batch: usize, rates: (f64, f64)| {
-        let (scalar, batched) = rates;
-        let speedup = batched / scalar;
-        println!("{mode:<20} {batch:>6} {scalar:>16.0} {batched:>17.0} {speedup:>7.2}x");
-        harness.push(
-            Json::obj()
-                .with("mode", Json::Str(mode.to_owned()))
-                .with("batch", Json::UInt(batch as u64))
-                .with("scalar_blocks_per_sec", Json::Num((scalar * 10.0).round() / 10.0))
-                .with("batched_blocks_per_sec", Json::Num((batched * 10.0).round() / 10.0))
-                .with("batch_speedup", Json::Num((speedup * 1000.0).round() / 1000.0)),
-        );
-    };
+    let chunk = |bits| ChunkSize::new(bits).expect("valid chunk width");
     for &batch in &BATCH_SIZES {
-        // Analytic schemes, scalar transfer vs specialized kernels.
-        let mut s = BinaryScheme::new(128);
-        let mut b = s.clone();
-        let mut costs: Vec<TransferCost> = Vec::with_capacity(batch);
-        let rates = bench_batch(
-            &blocks,
-            batch,
-            |blk| {
-                black_box(s.transfer(blk).cycles);
-            },
-            |slab| {
-                costs.clear();
-                b.transfer_many(slab, &mut costs);
-                black_box(costs.len());
-            },
-        );
-        batch_row(&mut harness, "conventional_binary", batch, rates);
-
-        let mut s = DzcScheme::new(128, 8);
-        let mut b = s.clone();
-        let mut costs: Vec<TransferCost> = Vec::with_capacity(batch);
-        let rates = bench_batch(
-            &blocks,
-            batch,
-            |blk| {
-                black_box(s.transfer(blk).cycles);
-            },
-            |slab| {
-                costs.clear();
-                b.transfer_many(slab, &mut costs);
-                black_box(costs.len());
-            },
-        );
-        batch_row(&mut harness, "dzc", batch, rates);
-
-        let mut s = BusInvertScheme::new(128, 32);
-        let mut b = s.clone();
-        let mut costs: Vec<TransferCost> = Vec::with_capacity(batch);
-        let rates = bench_batch(
-            &blocks,
-            batch,
-            |blk| {
-                black_box(s.transfer(blk).cycles);
-            },
-            |slab| {
-                costs.clear();
-                b.transfer_many(slab, &mut costs);
-                black_box(costs.len());
-            },
-        );
-        batch_row(&mut harness, "bus_invert", batch, rates);
-
-        let mut s = DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero);
-        let mut b = s.clone();
-        let mut costs: Vec<TransferCost> = Vec::with_capacity(batch);
-        let rates = bench_batch(
-            &blocks,
-            batch,
-            |blk| {
-                black_box(s.transfer(blk).cycles);
-            },
-            |slab| {
-                costs.clear();
-                b.transfer_many(slab, &mut costs);
-                black_box(costs.len());
-            },
-        );
-        batch_row(&mut harness, "zero_skip_analytic", batch, rates);
+        let mut row = |mode: &str, scheme: &dyn Fn() -> Box<dyn TransferScheme>| {
+            batch_row(&mut harness, mode, batch, &blocks, scheme);
+        };
+        row("conventional_binary", &|| Box::new(BinaryScheme::new(128)));
+        row("dzc", &|| Box::new(DzcScheme::new(128, 8)));
+        row("bus_invert", &|| Box::new(BusInvertScheme::new(128, 32)));
+        row("zero_skip_analytic", &|| {
+            Box::new(DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero))
+        });
+        // Fig. 15's bus-invert family, wide and narrow segments.
+        row("zs_bic_64w_32b", &|| Box::new(ZeroSkipBusInvertScheme::new(64, 32)));
+        row("ezs_bic_64w_16b", &|| Box::new(EncodedZeroSkipBusInvertScheme::new(64, 16)));
+        row("bic_64w_4b", &|| Box::new(BusInvertScheme::new(64, 4)));
+        row("zs_bic_64w_4b", &|| Box::new(ZeroSkipBusInvertScheme::new(64, 4)));
+        // Fig. 26's chunk widths on the word-parallel DESC kernel.
+        for bits in [1, 2, 8] {
+            row(&format!("zero_skip_128w_{bits}b"), &|| {
+                Box::new(DescScheme::new(128, chunk(bits), SkipMode::Zero))
+            });
+        }
+        row("binary_64w", &|| Box::new(BinaryScheme::new(64)));
     }
 
     // ---- Micro: hamming distance, byte loop vs u64 word fold. -------

@@ -271,22 +271,27 @@ impl Block {
     }
 }
 
-/// Extracts `width ≤ 16` bits starting at `start` from a zero-padded
-/// little-endian word slice — the slab-side twin of [`Block::bits`]:
-/// bits past the end of the slice read as zero.
+/// Extracts `width ≤ 64` bits starting at `start` from a zero-padded
+/// little-endian word slice — the slab-side twin of
+/// [`Block::word_bits`]: bits past the end of the slice read as zero.
+/// The batched kernels read their beats, rounds and lanes through it.
+#[inline]
 #[must_use]
-fn bits_of_words(words: &[u64], start: usize, width: usize) -> u16 {
-    debug_assert!(width > 0 && width <= 16);
+pub(crate) fn bits_of_words(words: &[u64], start: usize, width: usize) -> u64 {
+    debug_assert!(width > 0 && width <= 64);
     let w = start / 64;
     let shift = start % 64;
     let lo = words.get(w).copied().unwrap_or(0) >> shift;
-    let acc = if shift + width > 64 {
+    let acc = if shift > 0 && shift + width > 64 {
         lo | (words.get(w + 1).copied().unwrap_or(0) << (64 - shift))
     } else {
         lo
     };
-    let mask = if width == 16 { 0xFFFF } else { (1u64 << width) - 1 };
-    (acc & mask) as u16
+    if width == 64 {
+        acc
+    } else {
+        acc & ((1u64 << width) - 1)
+    }
 }
 
 /// A packed batch of equal-length blocks in 8-byte-aligned storage.
@@ -418,7 +423,7 @@ impl BlockSlab {
     #[must_use]
     pub fn bits(&self, i: usize, start: usize, width: usize) -> u16 {
         assert!(width > 0 && width <= 16, "bit field width {width} out of range");
-        bits_of_words(self.block_words(i), start, width)
+        bits_of_words(self.block_words(i), start, width) as u16
     }
 
     /// Extracts `width ≤ 64` bits of block `i` starting at bit `start`
@@ -432,17 +437,7 @@ impl BlockSlab {
     #[must_use]
     pub fn word_bits(&self, i: usize, start: usize, width: usize) -> u64 {
         assert!(width > 0 && width <= 64, "bit field width {width} out of range");
-        let words = self.block_words(i);
-        let w = start / 64;
-        let shift = start % 64;
-        let lo = words.get(w).copied().unwrap_or(0) >> shift;
-        let acc = if shift > 0 && shift + width > 64 {
-            lo | (words.get(w + 1).copied().unwrap_or(0) << (64 - shift))
-        } else {
-            lo
-        };
-        let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
-        acc & mask
+        bits_of_words(self.block_words(i), start, width)
     }
 
     /// Copies block `i` into `out` (which must have the slab's byte

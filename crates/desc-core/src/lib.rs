@@ -64,6 +64,7 @@ pub mod protocol;
 pub mod rng;
 pub mod scheme;
 pub mod schemes;
+mod swar;
 pub mod synthesis;
 pub mod wire;
 

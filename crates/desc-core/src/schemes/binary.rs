@@ -1,23 +1,15 @@
 //! Conventional binary (parallel) transfer — the paper's baseline.
+//!
+//! The batched kernel keeps the wire levels in packed `u64` lanes and
+//! counts per-wire flips in lane accumulators (byte counters flushed
+//! every 255 beats), so [`BinaryScheme::wire_transitions`] stays exact
+//! without a per-wire increment on every flip.
 
-use crate::block::{Block, BlockSlab};
+use crate::block::{bits_of_words, Block, BlockSlab};
 use crate::cost::{TransferCost, WireBudget};
 use crate::scheme::TransferScheme;
-use crate::wire::Wire;
-
-/// Reads the 64 bits starting at bit `start` from a zero-padded
-/// little-endian word slice.
-#[inline]
-fn bits64(words: &[u64], start: usize) -> u64 {
-    let w = start / 64;
-    let shift = start % 64;
-    let lo = words.get(w).copied().unwrap_or(0) >> shift;
-    if shift == 0 {
-        lo
-    } else {
-        lo | (words.get(w + 1).copied().unwrap_or(0) << (64 - shift))
-    }
-}
+use crate::swar::low_mask;
+use crate::wire::{ToggleTally, Wire};
 
 /// Conventional binary encoding: the block is driven over `width` data
 /// wires in `ceil(bits / width)` bus beats, one bit per wire per beat
@@ -107,10 +99,10 @@ impl TransferScheme for BinaryScheme {
 
     /// Batched kernel: wire levels live in packed `u64` lanes for the
     /// whole slab, so each bus beat is one `xor` + `count_ones` per
-    /// lane instead of a per-bit `Wire::drive` loop. Per-wire counters
-    /// are updated only for wires that actually flipped (iterating the
-    /// set bits of the flip mask), and the `Wire` states are written
-    /// back once at the end — bit-identical to the scalar loop.
+    /// lane instead of a per-bit `Wire::drive` loop. Each lane's flip
+    /// mask goes into per-wire lane accumulators (`ToggleTally`: byte
+    /// counters, flushed every 255 beats), and the `Wire` states are
+    /// written back once at the end — bit-identical to the scalar loop.
     fn transfer_many(&mut self, slab: &BlockSlab, costs: &mut Vec<TransferCost>) {
         if slab.is_empty() {
             return;
@@ -125,7 +117,7 @@ impl TransferScheme for BinaryScheme {
                 levels[k / 64] |= 1 << (k % 64);
             }
         }
-        let mut per_wire = vec![0u64; width];
+        let mut tally = ToggleTally::new(lanes, 1);
         costs.reserve(slab.len());
         for i in 0..slab.len() {
             let words = slab.block_words(i);
@@ -136,26 +128,15 @@ impl TransferScheme for BinaryScheme {
                 // (the bus simply is not driven there), so the final
                 // beat only drives the first `driven` wires.
                 let driven = (bit_len - base).min(width);
-                for (l, level) in levels.iter_mut().enumerate() {
-                    let Some(lane_driven) = driven.checked_sub(l * 64).map(|d| d.min(64)) else {
-                        break;
-                    };
-                    if lane_driven == 0 {
-                        break;
-                    }
-                    let mask = if lane_driven == 64 { u64::MAX } else { (1u64 << lane_driven) - 1 };
-                    let value = bits64(words, base + l * 64) & mask;
-                    let flips = (*level ^ value) & mask;
-                    if flips != 0 {
-                        flips_total += u64::from(flips.count_ones());
-                        *level = (*level & !mask) | value;
-                        let mut m = flips;
-                        while m != 0 {
-                            per_wire[l * 64 + m.trailing_zeros() as usize] += 1;
-                            m &= m - 1;
-                        }
-                    }
+                for (l, level) in levels.iter_mut().enumerate().take(driven.div_ceil(64)) {
+                    let lane_driven = (driven - l * 64).min(64);
+                    let value = bits_of_words(words, base + l * 64, lane_driven);
+                    let flips = (*level ^ value) & low_mask(lane_driven);
+                    flips_total += u64::from(flips.count_ones());
+                    *level ^= flips;
+                    tally.add(l, flips);
                 }
+                tally.tick();
             }
             costs.push(TransferCost {
                 data_transitions: flips_total,
@@ -165,8 +146,8 @@ impl TransferScheme for BinaryScheme {
                 cycles: beats as u64,
             });
         }
-        for (k, w) in self.wires.iter_mut().enumerate() {
-            w.apply_batch(levels[k / 64] >> (k % 64) & 1 == 1, per_wire[k]);
+        for ((k, w), n) in self.wires.iter_mut().enumerate().zip(tally.finish()) {
+            w.apply_batch(levels[k / 64] >> (k % 64) & 1 == 1, n);
         }
     }
 

@@ -15,22 +15,76 @@
 //!   per-segment control wires by a single binary *mode word* encoding
 //!   each segment's transfer mode (non-inverted / inverted / skipped),
 //!   reducing wires but causing mode-word switching.
+//!
+//! ## Packed lanes
+//!
+//! All three schemes keep their wires in [`Lane`]s: 64-bit words that
+//! each hold as many whole segments as fit (`64 / segment_bits`), with
+//! each segment's invert and skip wire at the bit of the segment's
+//! lowest data wire. One beat kernel, [`SegmentedBus::beat`], serves
+//! both `transfer` and `transfer_many` and decides every segment of a
+//! lane at once:
+//!
+//! * for power-of-two segment sizes, a SWAR field reduction (parallel
+//!   arithmetic on bit fields packed in one `u64`) turns the lane's
+//!   flip mask into per-segment popcounts, and each polarity or skip
+//!   rule is a field-wise compare against a threshold;
+//! * other segment sizes (3, 5, 6, 12, 24, 48, …) decide segment by
+//!   segment over the same packed word.
+//!
+//! Either way the decisions come back as invert and skip masks, from
+//! which the new data levels and every flip count follow with a few
+//! word operations. The encoded variant packs its base-3 mode word from
+//! the same masks.
 
-use crate::block::{Block, BlockSlab};
+use crate::block::{bits_of_words, Block, BlockSlab};
 use crate::cost::{TransferCost, WireBudget};
 use crate::scheme::TransferScheme;
-use crate::wire::{Bus, Wire};
+use crate::swar::{even_fields, field_lsbs, low_mask, nonzero_fields};
 
-/// Shared segmented-bus plumbing for the bus-invert family.
+/// The segment-choice rule of one bus-invert variant.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Rule {
+    /// Plain or inverted, whichever costs fewer flips counting the
+    /// invert wire ([`BusInvertScheme`]).
+    Invert,
+    /// [`Rule::Invert`], or skipped when the value is zero and raising
+    /// the skip wire is cheaper still ([`ZeroSkipBusInvertScheme`]).
+    ZeroSkip,
+    /// Skipped when zero, else the polarity with fewer data flips
+    /// ([`EncodedZeroSkipBusInvertScheme`]).
+    Encoded,
+}
+
+/// One packed lane of a segmented bus: up to 64 data wires holding
+/// whole segments, plus each segment's invert and skip wire at the bit
+/// position of the segment's lowest data wire.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct Lane {
+    levels: u64,
+    invert: u64,
+    skip: u64,
+}
+
+/// The bus-invert family's shared state and kernel: one variant's
+/// segment rule over packed lanes.
 #[derive(Clone, Debug)]
 struct SegmentedBus {
-    segments: Vec<Bus>,
-    segment_bits: usize,
+    rule: Rule,
     width: usize,
+    segment_bits: usize,
+    /// Data wires per full lane: the whole segments that fit in 64.
+    lane_bits: usize,
+    /// The low bit of every segment field of a full lane.
+    lsb: u64,
+    lanes: Vec<Lane>,
+    /// The mode word on the encoded variant's mode wires (zero for the
+    /// other variants).
+    mode: u64,
 }
 
 impl SegmentedBus {
-    fn new(width: usize, segment_bits: usize) -> Self {
+    fn new(rule: Rule, width: usize, segment_bits: usize) -> Self {
         assert!(width > 0, "bus width must be positive");
         assert!(
             (1..=64).contains(&segment_bits),
@@ -40,39 +94,230 @@ impl SegmentedBus {
             width.is_multiple_of(segment_bits),
             "segment size {segment_bits} must divide bus width {width}"
         );
-        Self { segments: vec![Bus::new(segment_bits); width / segment_bits], segment_bits, width }
+        let per_lane = 64 / segment_bits;
+        let lane_bits = per_lane * segment_bits;
+        let lsb = field_lsbs(segment_bits, per_lane);
+        let lanes = vec![Lane::default(); width.div_ceil(lane_bits)];
+        Self { rule, width, segment_bits, lane_bits, lsb, lanes, mode: 0 }
     }
 
     fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    fn beats(&self, block: &Block) -> usize {
-        block.bit_len().div_ceil(self.width)
-    }
-
-    /// Extracts the raw value for segment `s` of beat `beat` as one
-    /// word read (bits past the block's end read zero).
-    fn value_at(&self, block: &Block, beat: usize, s: usize) -> u64 {
-        block.word_bits(beat * self.width + s * self.segment_bits, self.segment_bits)
-    }
-
-    /// [`SegmentedBus::value_at`] reading straight from slab words.
-    fn value_at_slab(&self, slab: &BlockSlab, b: usize, beat: usize, s: usize) -> u64 {
-        slab.word_bits(b, beat * self.width + s * self.segment_bits, self.segment_bits)
-    }
-
-    fn mask(&self) -> u64 {
-        if self.segment_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.segment_bits) - 1
-        }
+        self.width / self.segment_bits
     }
 
     fn reset(&mut self) {
-        let n = self.segments.len();
-        self.segments = vec![Bus::new(self.segment_bits); n];
+        self.lanes.fill(Lane::default());
+        self.mode = 0;
+    }
+
+    /// Transfers one block, beat by beat.
+    fn transfer(&mut self, block: &Block) -> TransferCost {
+        let beats = block.bit_len().div_ceil(self.width);
+        let (mut data, mut control) = (0u64, 0u64);
+        for n in 0..beats {
+            let base = n * self.width;
+            let (d, c) = self.beat(|offset, bits| block.word_bits(base + offset, bits));
+            data += d;
+            control += c;
+        }
+        beat_cost(data, control, beats)
+    }
+
+    /// Transfers every block of `slab`, reading beats straight from its
+    /// packed words — cost for cost and state for state
+    /// [`SegmentedBus::transfer`] on each block in turn.
+    fn transfer_many(&mut self, slab: &BlockSlab, costs: &mut Vec<TransferCost>) {
+        let beats = slab.bit_len().div_ceil(self.width);
+        costs.reserve(slab.len());
+        for b in 0..slab.len() {
+            let words = slab.block_words(b);
+            let (mut data, mut control) = (0u64, 0u64);
+            for n in 0..beats {
+                let base = n * self.width;
+                let (d, c) = self.beat(|offset, bits| bits_of_words(words, base + offset, bits));
+                data += d;
+                control += c;
+            }
+            costs.push(beat_cost(data, control, beats));
+        }
+    }
+
+    /// Drives one beat: `read(offset, bits)` returns the beat's `bits`
+    /// data bits starting `offset` wires into the bus (bits past the
+    /// block's end read zero). Every lane is decided under the rule and
+    /// driven; returns the data flips and the control flips (invert
+    /// and skip wires, or the encoded variant's mode word).
+    #[inline]
+    fn beat(&mut self, read: impl Fn(usize, usize) -> u64) -> (u64, u64) {
+        let (rule, s) = (self.rule, self.segment_bits);
+        let (mut data, mut control) = (0u64, 0u64);
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
+            let offset = l * self.lane_bits;
+            let bits = self.lane_bits.min(self.width - offset);
+            let value = read(offset, bits);
+            let lsb = self.lsb & low_mask(bits);
+            let (invert, skip) = if s.is_power_of_two() {
+                decide_fields(rule, *lane, value, s, lsb)
+            } else {
+                decide_each(rule, *lane, value, s, bits / s)
+            };
+            // A field full of ones wherever the low bit is set (no
+            // carries: every product term stays inside its field).
+            let ones = low_mask(s);
+            let (inv_fill, skip_fill) = (invert.wrapping_mul(ones), skip.wrapping_mul(ones));
+            // Skipped segments keep their data wires; the rest are
+            // driven with the value in the chosen polarity.
+            let levels = (lane.levels & skip_fill) | ((value ^ inv_fill) & !skip_fill);
+            data += u64::from((lane.levels ^ levels).count_ones());
+            if rule != Rule::Encoded {
+                control += u64::from(
+                    (lane.invert ^ invert).count_ones() + (lane.skip ^ skip).count_ones(),
+                );
+            }
+            *lane = Lane { levels, invert, skip };
+        }
+        if rule == Rule::Encoded {
+            let mode = self.mode_word();
+            control = u64::from((self.mode ^ mode).count_ones());
+            self.mode = mode;
+        }
+        (data, control)
+    }
+
+    /// The encoded variant's mode word for the last beat: segment `k`'s
+    /// mode (0 plain, 1 inverted, 2 skipped) is its base-3 digit `k`.
+    fn mode_word(&self) -> u64 {
+        let s = self.segment_bits;
+        let per_lane = self.lane_bits / s;
+        let mut word = 0u64;
+        for (l, lane) in self.lanes.iter().enumerate().rev() {
+            let segments = per_lane.min(self.segment_count() - l * per_lane);
+            for f in (0..segments).rev() {
+                let digit = (lane.invert >> (f * s) & 1) + 2 * (lane.skip >> (f * s) & 1);
+                word = word * 3 + digit;
+            }
+        }
+        word
+    }
+}
+
+/// Per-field popcounts of `x` over power-of-two `s`-bit fields: the
+/// first `log2 s` steps of the SWAR popcount, each field ending up
+/// holding its own count.
+#[inline]
+fn field_popcounts(x: u64, s: usize) -> u64 {
+    if s == 64 {
+        return u64::from(x.count_ones());
+    }
+    let mut c = x;
+    if s >= 2 {
+        c -= (c >> 1) & even_fields(1);
+    }
+    if s >= 4 {
+        c = (c & even_fields(2)) + ((c >> 2) & even_fields(2));
+    }
+    if s >= 8 {
+        c = (c + (c >> 4)) & even_fields(4);
+    }
+    if s >= 16 {
+        c = (c + (c >> 8)) & even_fields(8);
+    }
+    if s >= 32 {
+        c = (c + (c >> 16)) & even_fields(16);
+    }
+    c
+}
+
+/// The fields (as a mask of their low bits) in which `p + i >= k`,
+/// where `p` holds per-field popcounts of power-of-two `s`-bit fields
+/// and `i` is a low-bit mask adding one to the fields it marks.
+#[inline]
+fn at_least(p: u64, i: u64, k: u64, s: usize, lsb: u64) -> u64 {
+    if s >= 4 {
+        // p + i <= s + 1 < 2^(s-1), so setting each field's top bit and
+        // subtracting k leaves that bit set exactly where p + i >= k,
+        // with no borrow across fields (k <= s <= 2^(s-1)).
+        let top = lsb << (s - 1);
+        ((((p + i) | top) - k * lsb) & top) >> (s - 1)
+    } else {
+        // 1- and 2-bit fields have no headroom: compare bit by bit
+        // (p + i >= k  <=>  p >= k, or i set and p >= k - 1).
+        let p_at_least = |k: u64| match k {
+            0 => lsb,
+            1 => (p | (p >> 1)) & lsb,
+            2 if s == 2 => (p >> 1) & lsb,
+            _ => 0,
+        };
+        p_at_least(k) | (i & p_at_least(k.saturating_sub(1)))
+    }
+}
+
+/// Invert and skip masks for one lane of power-of-two `s`-bit segments,
+/// every segment decided at once (see [`decide_each`] for the rules).
+#[inline]
+fn decide_fields(rule: Rule, lane: Lane, value: u64, s: usize, lsb: u64) -> (u64, u64) {
+    let p = field_popcounts(lane.levels ^ value, s);
+    let s64 = s as u64;
+    // Inverted costs (s - p) + (1 - i) against p + i for plain:
+    // invert iff 2(p + i) > s + 1, i.e. p + i >= ceil(s / 2) + 1.
+    let polarity = || at_least(p, lane.invert, s64.div_ceil(2) + 1, s, lsb);
+    match rule {
+        Rule::Invert => (polarity(), 0),
+        Rule::ZeroSkip => {
+            // A zero segment is skipped when raising (or holding) the
+            // skip wire beats both regular modes: always if it is
+            // already up, else iff 2 <= p + i <= s - 1.
+            let zero = lsb & !nonzero_fields(value, s, lsb);
+            let inner =
+                at_least(p, lane.invert, 2, s, lsb) & !at_least(p, lane.invert, s64, s, lsb);
+            let skip = zero & (lane.skip | inner);
+            ((skip & lane.invert) | (!skip & polarity()), skip)
+        }
+        // Zero segments skip; the rest invert iff 2p > s.
+        Rule::Encoded => {
+            let nonzero = nonzero_fields(value, s, lsb);
+            (nonzero & at_least(p, 0, s64 / 2 + 1, s, lsb), lsb & !nonzero)
+        }
+    }
+}
+
+/// Invert and skip masks for one lane of `segments` `s`-bit segments,
+/// decided one segment at a time by comparing the flips of each legal
+/// mode — the path for segment sizes that are not powers of two.
+fn decide_each(rule: Rule, lane: Lane, value: u64, s: usize, segments: usize) -> (u64, u64) {
+    let x = lane.levels ^ value;
+    let (mut invert, mut skip) = (0u64, 0u64);
+    for f in 0..segments {
+        let shift = f * s;
+        let p = (x >> shift & low_mask(s)).count_ones();
+        let zero = value >> shift & low_mask(s) == 0;
+        let i = (lane.invert >> shift & 1) as u32;
+        let k = (lane.skip >> shift & 1) as u32;
+        // Flips of the plain and inverted modes, counting the data and
+        // invert wires (the skip wire costs the same in both).
+        let plain = p + i;
+        let inverted = s as u32 - p + (1 - i);
+        let (inv, skipped) = match rule {
+            Rule::Invert => (inverted < plain, false),
+            Rule::ZeroSkip if zero && 1 - k < plain.min(inverted) + k => (i == 1, true),
+            Rule::ZeroSkip => (inverted < plain, false),
+            Rule::Encoded => (!zero && (s as u32 - p) < p, zero),
+        };
+        invert |= u64::from(inv) << shift;
+        skip |= u64::from(skipped) << shift;
+    }
+    (invert, skip)
+}
+
+/// The cost of `beats` binary beats that flipped `data` data wires and
+/// `control` control wires.
+fn beat_cost(data: u64, control: u64, beats: usize) -> TransferCost {
+    TransferCost {
+        data_transitions: data,
+        control_transitions: control,
+        sync_transitions: 0,
+        latency_cycles: 0,
+        cycles: beats as u64,
     }
 }
 
@@ -98,7 +343,6 @@ impl SegmentedBus {
 #[derive(Clone, Debug)]
 pub struct BusInvertScheme {
     bus: SegmentedBus,
-    invert: Vec<Wire>,
 }
 
 impl BusInvertScheme {
@@ -112,40 +356,13 @@ impl BusInvertScheme {
     /// `width`.
     #[must_use]
     pub fn new(width: usize, segment_bits: usize) -> Self {
-        let bus = SegmentedBus::new(width, segment_bits);
-        let n = bus.segment_count();
-        Self { bus, invert: vec![Wire::new(); n] }
+        Self { bus: SegmentedBus::new(Rule::Invert, width, segment_bits) }
     }
 
     /// The segment size in bits.
     #[must_use]
     pub fn segment_bits(&self) -> usize {
         self.bus.segment_bits
-    }
-
-    /// Drives one segment for one beat with the cheaper polarity
-    /// (counting the invert wire's own flip).
-    fn drive_segment(
-        seg: &mut Bus,
-        inv: &mut Wire,
-        value: u64,
-        mask: u64,
-        data: &mut u64,
-        control: &mut u64,
-    ) {
-        let plain_cost = seg.flips_to(value) + u32::from(inv.level());
-        let inverted_cost = seg.flips_to(!value & mask) + u32::from(!inv.level());
-        if inverted_cost < plain_cost {
-            *data += u64::from(seg.drive(!value & mask));
-            if inv.drive(true) {
-                *control += 1;
-            }
-        } else {
-            *data += u64::from(seg.drive(value));
-            if inv.drive(false) {
-                *control += 1;
-            }
-        }
     }
 }
 
@@ -155,72 +372,25 @@ impl TransferScheme for BusInvertScheme {
     }
 
     fn wires(&self) -> WireBudget {
-        WireBudget { data_wires: self.bus.width, control_wires: self.invert.len(), sync_wires: 0 }
+        WireBudget {
+            data_wires: self.bus.width,
+            control_wires: self.bus.segment_count(),
+            sync_wires: 0,
+        }
     }
 
     fn transfer(&mut self, block: &Block) -> TransferCost {
-        let beats = self.bus.beats(block);
-        let mask = self.bus.mask();
-        let mut data = 0u64;
-        let mut control = 0u64;
-        for beat in 0..beats {
-            for s in 0..self.bus.segment_count() {
-                let value = self.bus.value_at(block, beat, s);
-                Self::drive_segment(
-                    &mut self.bus.segments[s],
-                    &mut self.invert[s],
-                    value,
-                    mask,
-                    &mut data,
-                    &mut control,
-                );
-            }
-        }
-        TransferCost {
-            data_transitions: data,
-            control_transitions: control,
-            sync_transitions: 0,
-            latency_cycles: 0,
-            cycles: beats as u64,
-        }
+        self.bus.transfer(block)
     }
 
-    /// Batched kernel: segment values come straight out of the slab's
-    /// packed words; the polarity decision and word-packed bus drives
-    /// are identical to the scalar path.
+    /// Batched kernel: the same beat kernel as `transfer`, reading
+    /// each lane straight from the slab's packed words.
     fn transfer_many(&mut self, slab: &BlockSlab, costs: &mut Vec<TransferCost>) {
-        let beats = slab.bit_len().div_ceil(self.bus.width);
-        let mask = self.bus.mask();
-        costs.reserve(slab.len());
-        for b in 0..slab.len() {
-            let mut data = 0u64;
-            let mut control = 0u64;
-            for beat in 0..beats {
-                for s in 0..self.bus.segment_count() {
-                    let value = self.bus.value_at_slab(slab, b, beat, s);
-                    Self::drive_segment(
-                        &mut self.bus.segments[s],
-                        &mut self.invert[s],
-                        value,
-                        mask,
-                        &mut data,
-                        &mut control,
-                    );
-                }
-            }
-            costs.push(TransferCost {
-                data_transitions: data,
-                control_transitions: control,
-                sync_transitions: 0,
-                latency_cycles: 0,
-                cycles: beats as u64,
-            });
-        }
+        self.bus.transfer_many(slab, costs);
     }
 
     fn reset(&mut self) {
         self.bus.reset();
-        self.invert = vec![Wire::new(); self.invert.len()];
     }
 
     fn clone_box(&self) -> Box<dyn TransferScheme> {
@@ -241,8 +411,6 @@ impl TransferScheme for BusInvertScheme {
 #[derive(Clone, Debug)]
 pub struct ZeroSkipBusInvertScheme {
     bus: SegmentedBus,
-    invert: Vec<Wire>,
-    skip: Vec<Wire>,
 }
 
 impl ZeroSkipBusInvertScheme {
@@ -253,9 +421,7 @@ impl ZeroSkipBusInvertScheme {
     /// Panics under the same conditions as [`BusInvertScheme::new`].
     #[must_use]
     pub fn new(width: usize, segment_bits: usize) -> Self {
-        let bus = SegmentedBus::new(width, segment_bits);
-        let n = bus.segment_count();
-        Self { bus, invert: vec![Wire::new(); n], skip: vec![Wire::new(); n] }
+        Self { bus: SegmentedBus::new(Rule::ZeroSkip, width, segment_bits) }
     }
 
     /// The segment size in bits.
@@ -273,74 +439,21 @@ impl TransferScheme for ZeroSkipBusInvertScheme {
     fn wires(&self) -> WireBudget {
         WireBudget {
             data_wires: self.bus.width,
-            control_wires: self.invert.len() + self.skip.len(),
+            control_wires: 2 * self.bus.segment_count(),
             sync_wires: 0,
         }
     }
 
     fn transfer(&mut self, block: &Block) -> TransferCost {
-        let beats = self.bus.beats(block);
-        let mask = self.bus.mask();
-        let mut data = 0u64;
-        let mut control = 0u64;
-        for beat in 0..beats {
-            for s in 0..self.bus.segment_count() {
-                let value = self.bus.value_at(block, beat, s);
-                let seg = &mut self.bus.segments[s];
-                let inv = &mut self.invert[s];
-                let skip = &mut self.skip[s];
+        self.bus.transfer(block)
+    }
 
-                // Cost of each legal mode, counting every wire group.
-                let plain = seg.flips_to(value) + u32::from(inv.level()) + u32::from(skip.level());
-                let inverted =
-                    seg.flips_to(!value & mask) + u32::from(!inv.level()) + u32::from(skip.level());
-                let zero_skip = if value == 0 {
-                    // Data and invert wires untouched; skip wire raised.
-                    Some(u32::from(!skip.level()))
-                } else {
-                    None
-                };
-
-                let best_regular = plain.min(inverted);
-                match zero_skip {
-                    Some(z) if z < best_regular => {
-                        if skip.drive(true) {
-                            control += 1;
-                        }
-                    }
-                    _ => {
-                        if skip.drive(false) {
-                            control += 1;
-                        }
-                        if inverted < plain {
-                            data += u64::from(seg.drive(!value & mask));
-                            if inv.drive(true) {
-                                control += 1;
-                            }
-                        } else {
-                            data += u64::from(seg.drive(value));
-                            if inv.drive(false) {
-                                control += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        TransferCost {
-            data_transitions: data,
-            control_transitions: control,
-            sync_transitions: 0,
-            latency_cycles: 0,
-            cycles: beats as u64,
-        }
+    fn transfer_many(&mut self, slab: &BlockSlab, costs: &mut Vec<TransferCost>) {
+        self.bus.transfer_many(slab, costs);
     }
 
     fn reset(&mut self) {
         self.bus.reset();
-        let n = self.invert.len();
-        self.invert = vec![Wire::new(); n];
-        self.skip = vec![Wire::new(); n];
     }
 
     fn clone_box(&self) -> Box<dyn TransferScheme> {
@@ -360,7 +473,6 @@ impl TransferScheme for ZeroSkipBusInvertScheme {
 #[derive(Clone, Debug)]
 pub struct EncodedZeroSkipBusInvertScheme {
     bus: SegmentedBus,
-    mode_bus: Bus,
 }
 
 /// Number of wires needed to carry a base-3 mode vector for `segments`
@@ -384,10 +496,10 @@ impl EncodedZeroSkipBusInvertScheme {
     /// segments).
     #[must_use]
     pub fn new(width: usize, segment_bits: usize) -> Self {
-        let bus = SegmentedBus::new(width, segment_bits);
+        let bus = SegmentedBus::new(Rule::Encoded, width, segment_bits);
         let wires = mode_word_wires(bus.segment_count());
         assert!(wires <= 64, "mode word of {wires} wires exceeds the 64-wire encoder limit");
-        Self { bus, mode_bus: Bus::new(wires) }
+        Self { bus }
     }
 
     /// The segment size in bits.
@@ -405,49 +517,21 @@ impl TransferScheme for EncodedZeroSkipBusInvertScheme {
     fn wires(&self) -> WireBudget {
         WireBudget {
             data_wires: self.bus.width,
-            control_wires: self.mode_bus.width(),
+            control_wires: mode_word_wires(self.bus.segment_count()),
             sync_wires: 0,
         }
     }
 
     fn transfer(&mut self, block: &Block) -> TransferCost {
-        let beats = self.bus.beats(block);
-        let mask = self.bus.mask();
-        let mut data = 0u64;
-        let mut control = 0u64;
-        for beat in 0..beats {
-            let mut mode_word = 0u64;
-            let mut radix = 1u64;
-            for s in 0..self.bus.segment_count() {
-                let value = self.bus.value_at(block, beat, s);
-                let seg = &mut self.bus.segments[s];
-                let mode;
-                if value == 0 {
-                    mode = 2; // skipped: data wires untouched
-                } else if seg.flips_to(!value & mask) < seg.flips_to(value) {
-                    mode = 1;
-                    data += u64::from(seg.drive(!value & mask));
-                } else {
-                    mode = 0;
-                    data += u64::from(seg.drive(value));
-                }
-                mode_word += mode * radix;
-                radix *= 3;
-            }
-            control += u64::from(self.mode_bus.drive(mode_word));
-        }
-        TransferCost {
-            data_transitions: data,
-            control_transitions: control,
-            sync_transitions: 0,
-            latency_cycles: 0,
-            cycles: beats as u64,
-        }
+        self.bus.transfer(block)
+    }
+
+    fn transfer_many(&mut self, slab: &BlockSlab, costs: &mut Vec<TransferCost>) {
+        self.bus.transfer_many(slab, costs);
     }
 
     fn reset(&mut self) {
         self.bus.reset();
-        self.mode_bus = Bus::new(self.mode_bus.width());
     }
 
     fn clone_box(&self) -> Box<dyn TransferScheme> {
@@ -575,5 +659,15 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn segment_must_divide_width() {
         let _ = BusInvertScheme::new(64, 48);
+    }
+
+    #[test]
+    fn debug_form_names_width_and_segment_size() {
+        // Cell-key checks tell scheme constructions apart by `Debug`.
+        let wide = format!("{:?}", BusInvertScheme::new(64, 32));
+        let narrow = format!("{:?}", BusInvertScheme::new(64, 16));
+        assert_ne!(wide, narrow);
+        assert!(wide.contains("width: 64") && wide.contains("segment_bits: 32"), "{wide}");
+        assert!(narrow.contains("segment_bits: 16"), "{narrow}");
     }
 }

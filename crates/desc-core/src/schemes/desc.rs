@@ -19,12 +19,25 @@
 //! * The synchronization strobe toggles once per cycle while the
 //!   transfer is active (§3.1: a half-frequency signal sampled on both
 //!   edges); its transitions are charged to the scheme.
+//!
+//! ## Batched kernels
+//!
+//! `transfer_many` has two kernels, chosen only by the scheme's chunk
+//! width and skip mode. Zero skipping with 1-, 2-, 4- or 8-bit chunks
+//! (every width Fig. 26 sweeps) is word-parallel: a round is a
+//! contiguous bit range of the block, read 64 bits at a time, and SWAR
+//! over the chunk fields yields the strobed chunks, their position sum
+//! and the window's largest position; per-wire strobes go into lane
+//! accumulators that flush before they can overflow. Basic and
+//! last-value DESC, and 3-, 5-, 6- and 7-bit chunks, keep the
+//! per-chunk kernel.
 
-use crate::block::{Block, BlockSlab};
+use crate::block::{bits_of_words, Block, BlockSlab};
 use crate::chunk::{chunk_values_into, ChunkSize, Chunks, WireAssignment};
 use crate::cost::{TransferCost, WireBudget};
 use crate::scheme::TransferScheme;
-use crate::wire::Wire;
+use crate::swar::{even_fields, field_lsbs, nonzero_fields};
+use crate::wire::{ToggleTally, Wire};
 
 /// Value-skipping policy for a DESC interface (paper §3.3).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -304,6 +317,157 @@ impl DescScheme {
         self.last_stats = stats;
         cost
     }
+
+    /// The zero-skip kernel for chunk widths that divide 64: each round
+    /// is a contiguous bit range of the block (wire `w` carries the
+    /// round's chunk `w`), read 64 bits at a time from its own start,
+    /// which may sit mid-word. Per 64-bit piece, SWAR over the chunk
+    /// fields ([`ChunkFields`]) yields the strobed (non-zero) chunks,
+    /// their value sum — a non-zero chunk's strobe position under zero
+    /// skipping is its value — and a running field-wise maximum. The
+    /// strobed mask goes into per-wire lane accumulators
+    /// ([`ToggleTally`]), which flush before a byte counter can
+    /// overflow.
+    fn transfer_many_zero_skip(&mut self, slab: &BlockSlab, costs: &mut Vec<TransferCost>) {
+        let wires = self.data.len();
+        let c = self.chunk_size.bits() as usize;
+        let bit_len = slab.bit_len();
+        let n_chunks = self.chunk_size.chunks_for_bits(bit_len);
+        let rounds = n_chunks.div_ceil(wires);
+        let round_bits = wires * c;
+        let fields = ChunkFields::new(c);
+        let mut tally = ToggleTally::new(round_bits.div_ceil(64), c);
+        let mut reset_toggles = 0u64;
+        let mut sync_toggles = 0u64;
+        costs.reserve(slab.len());
+        for b in 0..slab.len() {
+            let words = slab.block_words(b);
+            let mut cost = TransferCost::ZERO;
+            let mut stats = DescTransferStats { rounds, ..Default::default() };
+            let mut last_round_skipped = false;
+            for r in 0..rounds {
+                let start = r * round_bits;
+                let bits = round_bits.min(bit_len - start);
+                let (mut strobed, mut pos_sum, mut max_acc) = (0u64, 0u64, 0u64);
+                for (j, offset) in (0..bits).step_by(64).enumerate() {
+                    let x = bits_of_words(words, start + offset, (bits - offset).min(64));
+                    let nonzero = fields.nonzero(x);
+                    strobed += u64::from(nonzero.count_ones());
+                    pos_sum += fields.sum(x);
+                    max_acc = fields.max_into(max_acc, x);
+                    tally.add(j, nonzero);
+                }
+                tally.tick();
+                let chunks = (bits / c) as u64;
+                stats.strobed_chunks += strobed as usize;
+                stats.skipped_chunks += (chunks - strobed) as usize;
+                cost.data_transitions += strobed;
+                cost.control_transitions += 1;
+                let window = fields.max_of(max_acc).max(1);
+                cost.cycles += window;
+                cost.latency_cycles +=
+                    if strobed == 0 { 1 } else { (pos_sum.div_ceil(strobed) + window).div_ceil(2) };
+                last_round_skipped = strobed < chunks;
+            }
+            reset_toggles += rounds as u64;
+            if last_round_skipped {
+                reset_toggles += 1;
+                cost.control_transitions += 1;
+            }
+            self.last_stats = stats;
+            if self.sync_enabled {
+                sync_toggles += cost.cycles;
+                cost.sync_transitions = cost.cycles;
+            }
+            costs.push(cost);
+        }
+        // Each wire's last chunk of the slab's last block is its last
+        // value (the per-chunk kernel records it chunk by chunk).
+        let words = slab.block_words(slab.len() - 1);
+        let last_round = (n_chunks - 1) / wires * wires;
+        for (w, last) in self.last_values.iter_mut().enumerate().take(n_chunks) {
+            let i = if last_round + w < n_chunks { last_round + w } else { last_round - wires + w };
+            *last = bits_of_words(words, i * c, c) as u16;
+        }
+        for (wire, n) in self.data.iter_mut().zip(tally.finish()) {
+            wire.apply_batch(wire.level() ^ (n & 1 == 1), n);
+        }
+        self.reset_skip
+            .apply_batch(self.reset_skip.level() ^ (reset_toggles & 1 == 1), reset_toggles);
+        self.sync.toggle_n(sync_toggles);
+    }
+}
+
+/// SWAR masks for a word of `c`-bit chunk fields, `c` dividing 64.
+struct ChunkFields {
+    c: usize,
+    /// The low bit of every field.
+    lsb: u64,
+    /// Every other field (fields 0, 2, 4, …), so that a field and its
+    /// upper neighbour can be lined up in `2c`-bit fields.
+    even: u64,
+}
+
+impl ChunkFields {
+    fn new(c: usize) -> Self {
+        debug_assert!(64 % c == 0);
+        Self { c, lsb: field_lsbs(c, 64 / c), even: even_fields(c) }
+    }
+
+    /// The non-zero fields of `x`, as a mask of their low bits.
+    #[inline]
+    fn nonzero(&self, x: u64) -> u64 {
+        nonzero_fields(x, self.c, self.lsb)
+    }
+
+    /// The sum of the fields of `x`: pairwise folds up to 16-bit fields
+    /// (each at most 2040 for 8-bit chunks), then one multiply adds the
+    /// four into the top 16 bits.
+    #[inline]
+    fn sum(&self, x: u64) -> u64 {
+        let mut y = x;
+        let mut w = self.c;
+        while w < 16 {
+            let pairs = even_fields(w);
+            y = (y & pairs) + ((y >> w) & pairs);
+            w *= 2;
+        }
+        y.wrapping_mul(0x0001_0001_0001_0001) >> 48
+    }
+
+    /// Folds the fields of `x` into `acc`, a running field-wise
+    /// maximum in `2c`-bit fields (even fields and odd fields of `x`
+    /// each line up with them).
+    #[inline]
+    fn max_into(&self, acc: u64, x: u64) -> u64 {
+        let acc = self.wide_max(acc, x & self.even);
+        self.wide_max(acc, (x >> self.c) & self.even)
+    }
+
+    /// Field-wise maximum of two words of `2c`-bit fields holding
+    /// values below `2^c`: each field's top bit is free, so
+    /// `(a | top) - b` keeps it set exactly where `a >= b`.
+    #[inline]
+    fn wide_max(&self, a: u64, b: u64) -> u64 {
+        let w = 2 * self.c;
+        let wide_lsb = self.lsb & self.even;
+        let top = wide_lsb << (w - 1);
+        let ge = (((a | top) - b) & top) >> (w - 1);
+        let keep_a = ge * ((1u64 << w) - 1);
+        (a & keep_a) | (b & !keep_a)
+    }
+
+    /// The largest field of a running maximum from
+    /// [`ChunkFields::max_into`]: halves folded onto each other.
+    fn max_of(&self, acc: u64) -> u64 {
+        let mut m = acc;
+        let mut span = 64;
+        while span > 2 * self.c {
+            span /= 2;
+            m = self.wide_max(m & ((1u64 << span) - 1), m >> span);
+        }
+        m
+    }
 }
 
 impl TransferScheme for DescScheme {
@@ -324,15 +488,23 @@ impl TransferScheme for DescScheme {
         self.transfer_chunks(&chunks)
     }
 
-    /// Batched kernel for all three skip modes: chunk values are
-    /// extracted straight from the slab's `u64` words into one reused
-    /// scratch vector (no per-block `Chunks` allocation), per-wire
-    /// strobe counts accumulate across the whole slab and are written
-    /// back once, and the sync strobe advances with a single
-    /// [`Wire::toggle_n`] instead of one call per active cycle — cost
-    /// for cost and state for state identical to the scalar loop.
+    /// Batched kernels, cost for cost and state for state identical to
+    /// the scalar loop. Zero skipping with a chunk width that divides
+    /// 64 (1, 2, 4 or 8 bits) takes the word-parallel kernel
+    /// (`DescScheme::transfer_many_zero_skip`). Every other
+    /// configuration — basic and last-value DESC, and 3/5/6/7-bit
+    /// chunks — takes the per-chunk kernel: chunk values are extracted
+    /// straight from the slab's `u64` words into one reused scratch
+    /// vector (no per-block `Chunks` allocation) and per-wire strobe
+    /// counts accumulate across the whole slab. Both write the wires
+    /// back once and advance the sync strobe with a single
+    /// [`Wire::toggle_n`] instead of one call per active cycle.
     fn transfer_many(&mut self, slab: &BlockSlab, costs: &mut Vec<TransferCost>) {
         if slab.is_empty() {
+            return;
+        }
+        if self.mode == SkipMode::Zero && 64 % self.chunk_size.bits() == 0 {
+            self.transfer_many_zero_skip(slab, costs);
             return;
         }
         let wires = self.data.len();

@@ -1,7 +1,7 @@
 //! Fig. 1: L2 energy as a fraction of total processor energy
 //! (baseline binary configuration; paper geomean ≈ 0.15).
 
-use crate::common::{run_app, Scale};
+use crate::common::{run_app, run_matrix, Scale};
 use crate::table::{geomean, r3, Table};
 use desc_core::schemes::SchemeKind;
 
@@ -12,11 +12,12 @@ pub fn run(scale: &Scale) -> Table {
         "Fig. 1: L2 energy as a fraction of total processor energy",
         &["App", "L2 fraction"],
     );
-    let mut fractions = Vec::new();
-    for p in scale.suite() {
-        let run = run_app(SchemeKind::ConventionalBinary, &p, scale);
-        let f = run.processor.l2_fraction();
-        fractions.push(f);
+    let suite = scale.suite();
+    let per_app = run_matrix(&[()], &suite, scale, |&(), p| {
+        run_app(SchemeKind::ConventionalBinary, p, scale).processor.l2_fraction()
+    });
+    let fractions: Vec<f64> = per_app.iter().map(|row| row[0]).collect();
+    for (p, &f) in suite.iter().zip(&fractions) {
         t.row_owned(vec![p.name.into(), r3(f)]);
     }
     t.row_owned(vec!["Geomean".into(), r3(geomean(&fractions))]);
