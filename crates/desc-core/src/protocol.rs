@@ -1032,35 +1032,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_analytic_cost_model() {
-        use crate::scheme::TransferScheme;
-        use crate::schemes::DescScheme;
-        for mode in [SkipMode::None, SkipMode::Zero, SkipMode::LastValue] {
-            let mut link = Link::new(cfg(16, 4, mode, 0));
-            let mut analytic =
-                DescScheme::new(16, ChunkSize::new(4).unwrap(), mode).without_sync_strobe();
-            let blocks = [
-                Block::from_bytes(&[0xA5; 16]),
-                Block::zeroed(16),
-                Block::from_bytes(&[0x0F, 0, 0, 0x33, 0, 0xF0, 0, 7, 0, 0, 1, 2, 3, 4, 5, 6]),
-            ];
-            for block in &blocks {
-                let proto = link.transfer(block);
-                let cost = analytic.transfer(block);
-                assert_eq!(
-                    proto.cost.data_transitions, cost.data_transitions,
-                    "{mode:?} data transitions diverge"
-                );
-                assert_eq!(
-                    proto.cost.control_transitions, cost.control_transitions,
-                    "{mode:?} control transitions diverge"
-                );
-                assert_eq!(proto.cost.cycles, cost.cycles, "{mode:?} cycles diverge");
-            }
-        }
-    }
-
-    #[test]
     fn trace_renders_waveform() {
         let mut link = Link::new(cfg(2, 4, SkipMode::Zero, 0));
         let out = link.transfer(&Block::from_bytes(&[0x53]));

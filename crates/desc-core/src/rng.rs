@@ -66,6 +66,39 @@ pub fn mix_seed(seed: u64, stream: u64) -> u64 {
     first ^ splitmix64(&mut state)
 }
 
+/// Runs `property` on `cases` seeded inputs: the workspace's property
+/// test harness. Case `i` draws from an [`Rng64`] seeded with
+/// `mix_seed(hash(name), i)`, so the cases are fixed and rerunning the
+/// test replays a failure. There is no shrinking.
+///
+/// # Panics
+///
+/// Panics, naming the property, the case index and its seed, when
+/// `property` panics on any case.
+#[doc(hidden)]
+pub fn check_property(name: &str, cases: u64, mut property: impl FnMut(&mut Rng64)) {
+    let base = name_hash(name);
+    for case in 0..cases {
+        let seed = mix_seed(base, case);
+        let mut rng = Rng64::seed_from_u64(seed);
+        let run = std::panic::AssertUnwindSafe(|| property(&mut rng));
+        if let Err(cause) = std::panic::catch_unwind(run) {
+            let why = cause
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            panic!("property `{name}` failed at case {case} (seed {seed:#018x}): {why}");
+        }
+    }
+}
+
+/// FNV-1a of a property name: each property draws its own inputs.
+fn name_hash(name: &str) -> u64 {
+    name.bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
+}
+
 /// A deterministic xoshiro256** generator.
 ///
 /// Same seed → same stream, on every platform, forever. See the module
@@ -311,6 +344,36 @@ mod tests {
             seen[rng.gen_range(0usize..8)] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn failing_property_names_itself_its_case_and_its_seed() {
+        let fail_at_case_2 = || {
+            let mut calls = 0;
+            let run = std::panic::AssertUnwindSafe(|| {
+                check_property("fails on its third case", 5, |_| {
+                    calls += 1;
+                    assert!(calls < 3, "boom");
+                });
+            });
+            *std::panic::catch_unwind(run)
+                .expect_err("a failing property must panic")
+                .downcast::<String>()
+                .expect("the harness panics with a formatted message")
+        };
+        let first = fail_at_case_2();
+        let seed = mix_seed(name_hash("fails on its third case"), 2);
+        assert_eq!(
+            first,
+            format!(
+                "property `fails on its third case` failed at case 2 (seed {seed:#018x}): boom"
+            )
+        );
+        assert_eq!(first, fail_at_case_2(), "a rerun must replay the same seed");
+        // Passing properties run every case.
+        let mut cases = 0;
+        check_property("passes", 7, |_| cases += 1);
+        assert_eq!(cases, 7);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! every 255 beats), so [`BinaryScheme::wire_transitions`] stays exact
 //! without a per-wire increment on every flip.
 
+use std::fmt;
+
 use crate::block::{bits_of_words, Block, BlockSlab};
 use crate::cost::{TransferCost, WireBudget};
 use crate::scheme::TransferScheme;
@@ -31,9 +33,18 @@ use crate::wire::{ToggleTally, Wire};
 /// assert_eq!(cost.data_transitions, 4);
 /// assert_eq!(cost.cycles, 1);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct BinaryScheme {
     wires: Vec<Wire>,
+    /// The batched kernel's per-wire flip counts, kept so a batch does
+    /// not allocate. Scratch, not state: left out of `Debug`.
+    tally: ToggleTally,
+}
+
+impl fmt::Debug for BinaryScheme {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BinaryScheme").field("wires", &self.wires).finish()
+    }
 }
 
 impl BinaryScheme {
@@ -45,7 +56,7 @@ impl BinaryScheme {
     #[must_use]
     pub fn new(width: usize) -> Self {
         assert!(width > 0, "bus width must be positive");
-        Self { wires: vec![Wire::new(); width] }
+        Self { wires: vec![Wire::new(); width], tally: ToggleTally::default() }
     }
 
     /// The bus width in wires.
@@ -117,7 +128,7 @@ impl TransferScheme for BinaryScheme {
                 levels[k / 64] |= 1 << (k % 64);
             }
         }
-        let mut tally = ToggleTally::new(lanes, 1);
+        self.tally.reset(lanes, 1);
         costs.reserve(slab.len());
         for i in 0..slab.len() {
             let words = slab.block_words(i);
@@ -134,9 +145,9 @@ impl TransferScheme for BinaryScheme {
                     let flips = (*level ^ value) & low_mask(lane_driven);
                     flips_total += u64::from(flips.count_ones());
                     *level ^= flips;
-                    tally.add(l, flips);
+                    self.tally.add(l, flips);
                 }
-                tally.tick();
+                self.tally.tick();
             }
             costs.push(TransferCost {
                 data_transitions: flips_total,
@@ -146,7 +157,7 @@ impl TransferScheme for BinaryScheme {
                 cycles: beats as u64,
             });
         }
-        for ((k, w), n) in self.wires.iter_mut().enumerate().zip(tally.finish()) {
+        for ((k, w), &n) in self.wires.iter_mut().enumerate().zip(self.tally.finish()) {
             w.apply_batch(levels[k / 64] >> (k % 64) & 1 == 1, n);
         }
     }

@@ -32,6 +32,8 @@
 //! last-value DESC, and 3-, 5-, 6- and 7-bit chunks, keep the
 //! per-chunk kernel.
 
+use std::fmt;
+
 use crate::block::{bits_of_words, Block, BlockSlab};
 use crate::chunk::{chunk_values_into, ChunkSize, Chunks, WireAssignment};
 use crate::cost::{TransferCost, WireBudget};
@@ -92,7 +94,7 @@ pub struct DescTransferStats {
 /// let cost = s.transfer(&Block::from_bytes(&[0b0101_0011]));
 /// assert_eq!(cost.data_transitions + cost.control_transitions, 3);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct DescScheme {
     chunk_size: ChunkSize,
     mode: SkipMode,
@@ -103,6 +105,24 @@ pub struct DescScheme {
     last_values: Vec<u16>,
     sync_enabled: bool,
     last_stats: DescTransferStats,
+    /// The zero-skip kernel's per-wire strobe counts, kept so a batch
+    /// does not allocate. Scratch, not state: left out of `Debug`.
+    tally: ToggleTally,
+}
+
+impl fmt::Debug for DescScheme {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DescScheme")
+            .field("chunk_size", &self.chunk_size)
+            .field("mode", &self.mode)
+            .field("data", &self.data)
+            .field("reset_skip", &self.reset_skip)
+            .field("sync", &self.sync)
+            .field("last_values", &self.last_values)
+            .field("sync_enabled", &self.sync_enabled)
+            .field("last_stats", &self.last_stats)
+            .finish()
+    }
 }
 
 impl DescScheme {
@@ -125,6 +145,7 @@ impl DescScheme {
             last_values: vec![0; wires],
             sync_enabled: true,
             last_stats: DescTransferStats::default(),
+            tally: ToggleTally::default(),
         }
     }
 
@@ -336,7 +357,7 @@ impl DescScheme {
         let rounds = n_chunks.div_ceil(wires);
         let round_bits = wires * c;
         let fields = ChunkFields::new(c);
-        let mut tally = ToggleTally::new(round_bits.div_ceil(64), c);
+        self.tally.reset(round_bits.div_ceil(64), c);
         let mut reset_toggles = 0u64;
         let mut sync_toggles = 0u64;
         costs.reserve(slab.len());
@@ -355,9 +376,9 @@ impl DescScheme {
                     strobed += u64::from(nonzero.count_ones());
                     pos_sum += fields.sum(x);
                     max_acc = fields.max_into(max_acc, x);
-                    tally.add(j, nonzero);
+                    self.tally.add(j, nonzero);
                 }
-                tally.tick();
+                self.tally.tick();
                 let chunks = (bits / c) as u64;
                 stats.strobed_chunks += strobed as usize;
                 stats.skipped_chunks += (chunks - strobed) as usize;
@@ -389,7 +410,7 @@ impl DescScheme {
             let i = if last_round + w < n_chunks { last_round + w } else { last_round - wires + w };
             *last = bits_of_words(words, i * c, c) as u16;
         }
-        for (wire, n) in self.data.iter_mut().zip(tally.finish()) {
+        for (wire, &n) in self.data.iter_mut().zip(self.tally.finish()) {
             wire.apply_batch(wire.level() ^ (n & 1 == 1), n);
         }
         self.reset_skip

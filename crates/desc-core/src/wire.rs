@@ -205,8 +205,10 @@ impl Bus {
 /// operations per accumulator instead of one increment per toggled
 /// wire. A byte counts at most 255 toggles, so [`ToggleTally::tick`]
 /// flushes every accumulator into the exact `u64` counts once 255
-/// beats have passed since the last flush.
-#[derive(Clone, Debug)]
+/// beats have passed since the last flush. A scheme keeps one and
+/// [`ToggleTally::reset`]s it per batch, so batches allocate nothing
+/// once its buffers have grown.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct ToggleTally {
     field_bits: usize,
     /// Accumulator words per lane (`8 / field_bits`).
@@ -221,18 +223,17 @@ pub(crate) struct ToggleTally {
 const BYTE_LSBS: u64 = 0x0101_0101_0101_0101;
 
 impl ToggleTally {
-    /// A zeroed tally for `lanes` 64-bit lanes of `field_bits`-wide
-    /// fields; `field_bits` must divide 8.
-    pub(crate) fn new(lanes: usize, field_bits: usize) -> Self {
+    /// Zeroes the tally for `lanes` 64-bit lanes of `field_bits`-wide
+    /// fields, reusing its buffers; `field_bits` must divide 8.
+    pub(crate) fn reset(&mut self, lanes: usize, field_bits: usize) {
         debug_assert!(8 % field_bits == 0, "field width {field_bits} must divide 8");
-        let group = 8 / field_bits;
-        Self {
-            field_bits,
-            group,
-            acc: vec![0; lanes * group],
-            counts: vec![0; lanes * 64 / field_bits],
-            pending: 0,
-        }
+        self.field_bits = field_bits;
+        self.group = 8 / field_bits;
+        self.acc.clear();
+        self.acc.resize(lanes * self.group, 0);
+        self.counts.clear();
+        self.counts.resize(lanes * 64 / field_bits, 0);
+        self.pending = 0;
     }
 
     /// Counts one toggle for every field of `lane` whose low bit is set
@@ -271,9 +272,9 @@ impl ToggleTally {
 
     /// The exact toggle count of every field, lane by lane (field `f`
     /// of lane `l` at index `l * 64 / field_bits + f`).
-    pub(crate) fn finish(mut self) -> Vec<u64> {
+    pub(crate) fn finish(&mut self) -> &[u64] {
         self.flush();
-        self.counts
+        &self.counts
     }
 }
 
@@ -370,9 +371,11 @@ mod tests {
 
     #[test]
     fn toggle_tally_counts_exactly_across_flushes() {
-        for field_bits in [1usize, 2, 4, 8] {
+        // One tally, reset for each width: reuse must start from zero.
+        let mut tally = ToggleTally::default();
+        for field_bits in [1usize, 2, 4, 8, 1] {
             let fields = 2 * 64 / field_bits;
-            let mut tally = ToggleTally::new(2, field_bits);
+            tally.reset(2, field_bits);
             let mut expected = vec![0u64; fields];
             let mut state = 0x9E37_79B9_7F4A_7C15u64;
             // 600 beats: two overflow-avoiding flushes plus a tail.

@@ -332,16 +332,16 @@ pub fn run_snuca(
     })
 }
 
-/// Runs every cell of a (row × configuration) sweep on the
+/// Runs every cell of an (app × configuration) sweep on the
 /// process-wide [`desc_exec`] pool, with at most `scale.jobs` cells in
 /// flight at once.
 ///
-/// Both axes are generic: `rows` is usually the benchmark suite but
-/// can be any per-row parameter (device classes, sweep points), and
+/// `rows` is the benchmark suite of the sweep; `configs` can be any
+/// per-column parameter (schemes, device classes, sweep points), and
 /// each cell may return any `Send` result (an [`AppRun`], an energy
 /// scalar, a tuple of measurements).
 ///
-/// `cell(config, row)` must derive everything from its arguments and
+/// `cell(config, app)` must derive everything from its arguments and
 /// `scale.seed` (as [`run_app`]/[`run_custom_keyed`] do — each cell
 /// constructs its own independently seeded simulation), so the result
 /// is **bit-identical to the serial loop for any job count**: the pool
@@ -349,54 +349,34 @@ pub fn run_snuca(
 /// value, and each cell writes its own result slot. Cells may submit
 /// nested partition regions (`SimConfig::shards > 1`) onto the same
 /// pool without deadlock — blocked submitters help execute. Results
-/// are indexed `[row][config]`.
-///
-/// When telemetry is enabled each cell records a `"cell"` span
-/// (label `c<config>.r<row>`), so `repro --report` shows per-cell
-/// wall-clock for any job count; when disabled no label is even
-/// formatted. Figures whose axes have natural names (scheme × app)
-/// should use [`run_matrix_labeled`] so the timeline reads
-/// `zs-desc/ocean` instead of `c4.r0`.
-#[must_use]
-pub fn run_matrix<C, P, R, F>(configs: &[C], rows: &[P], scale: &Scale, cell: F) -> Vec<Vec<R>>
-where
-    C: Sync,
-    P: Sync,
-    R: Send,
-    F: Fn(&C, &P) -> R + Sync,
-{
-    run_matrix_labeled(configs, rows, scale, |c, p| format!("c{c}.r{p}"), cell)
-}
-
-/// [`run_matrix`] with caller-chosen cell span labels:
-/// `label(config_index, row_index)` names each cell on the execution
-/// timeline. The label closure runs only when telemetry is enabled —
-/// dark runs never format a string.
+/// are indexed `[app][config]`.
 ///
 /// Every sweep executes as a `"cells"` region on the shared pool
 /// (queue-wait/run-time distributions per cell under that label in
 /// `desc_exec::utilization`) and feeds the [`crate::progress`]
-/// counters that drive `repro`'s live status line.
+/// counters that drive `repro`'s live status line. When telemetry is
+/// enabled each cell records a `"cell"` span labeled
+/// `c<config>/<app>` (`c4/ocean`), so `repro --report` shows per-cell
+/// wall-clock for any job count; when disabled no label is even
+/// formatted.
 #[must_use]
-pub fn run_matrix_labeled<C, P, R, F, L>(
+pub fn run_matrix<C, R, F>(
     configs: &[C],
-    rows: &[P],
+    rows: &[BenchmarkProfile],
     scale: &Scale,
-    label: L,
     cell: F,
 ) -> Vec<Vec<R>>
 where
     C: Sync,
-    P: Sync,
     R: Send,
-    F: Fn(&C, &P) -> R + Sync,
-    L: Fn(usize, usize) -> String + Sync,
+    F: Fn(&C, &BenchmarkProfile) -> R + Sync,
 {
     let n_cells = rows.len() * configs.len();
     crate::progress::cells_planned(n_cells as u64);
     let cells = desc_exec::run_labeled("cells", n_cells, scale.jobs.max(1), |i| {
         let (p, c) = (i / configs.len(), i % configs.len());
-        let _span = desc_telemetry::enabled().then(|| desc_telemetry::span("cell", label(c, p)));
+        let _span = desc_telemetry::enabled()
+            .then(|| desc_telemetry::span("cell", format!("c{c}/{}", rows[p].name)));
         let out = cell(&configs[c], &rows[p]);
         crate::progress::cell_done();
         out

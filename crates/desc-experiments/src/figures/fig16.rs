@@ -3,7 +3,7 @@
 //! The paper's headline: zero-skipped DESC reduces L2 energy 1.81×
 //! (i.e. to ≈0.55) on average.
 
-use crate::common::{run_app, run_matrix_labeled, Scale};
+use crate::common::{run_app, run_matrix, Scale};
 use crate::table::{geomean, r2, Table};
 use desc_core::schemes::SchemeKind;
 
@@ -19,16 +19,10 @@ fn binary_index() -> usize {
 /// across `scale.jobs` workers (indexed `[app][scheme]`).
 fn energy_matrix(scale: &Scale) -> Vec<Vec<f64>> {
     let suite = scale.suite();
-    run_matrix_labeled(
-        &SchemeKind::ALL,
-        &suite,
-        scale,
-        |c, p| format!("{}/{}", SchemeKind::ALL[c].label(), suite[p].name),
-        |&kind, p| run_app(kind, p, scale),
-    )
-    .into_iter()
-    .map(|row| row.into_iter().map(|r| r.l2_energy()).collect())
-    .collect()
+    run_matrix(&SchemeKind::ALL, &suite, scale, |&kind, p| run_app(kind, p, scale))
+        .into_iter()
+        .map(|row| row.into_iter().map(|r| r.l2_energy()).collect())
+        .collect()
 }
 
 /// Per-scheme geomean of normalised L2 energy — the numbers behind

@@ -2,7 +2,7 @@
 //! normalised to binary encoding (paper: DESC variants within 2%,
 //! wire-overhead baselines within 1%).
 
-use crate::common::{run_app, run_matrix_labeled, Scale};
+use crate::common::{run_app, run_matrix, Scale};
 use crate::table::{geomean, r3, Table};
 use desc_core::schemes::SchemeKind;
 
@@ -14,16 +14,11 @@ pub fn run(scale: &Scale) -> Table {
         "Fig. 20: execution time by transfer technique (normalised to binary)",
         &["Scheme", "Normalised execution time"],
     );
-    let times: Vec<Vec<f64>> = run_matrix_labeled(
-        &SchemeKind::ALL,
-        &suite,
-        scale,
-        |c, p| format!("{}/{}", SchemeKind::ALL[c].label(), suite[p].name),
-        |&kind, p| run_app(kind, p, scale),
-    )
-    .into_iter()
-    .map(|row| row.into_iter().map(|r| r.result.exec_time_s).collect())
-    .collect();
+    let times: Vec<Vec<f64>> =
+        run_matrix(&SchemeKind::ALL, &suite, scale, |&kind, p| run_app(kind, p, scale))
+            .into_iter()
+            .map(|row| row.into_iter().map(|r| r.result.exec_time_s).collect())
+            .collect();
     let base = SchemeKind::ALL
         .iter()
         .position(|&k| k == SchemeKind::ConventionalBinary)

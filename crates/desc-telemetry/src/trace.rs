@@ -77,7 +77,7 @@ pub struct Span {
     /// Static category, e.g. `"experiment"`, `"cell"`, `"partition"`,
     /// or `"region"`.
     pub name: &'static str,
-    /// Instance label, e.g. an experiment name, a `scheme/app` cell
+    /// Instance label, e.g. an experiment name, a `c<config>/<app>` cell
     /// label, or a bank partition index.
     pub label: String,
     /// Process-wide context active when the span was opened (the

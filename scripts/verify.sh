@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification: the Rust checks CI runs — formatting, tier-1
-# (build + root tests), workspace tests, doctests, clippy, rustdoc and
-# the benchmark build. Fully offline — the workspace has no external dependencies.
+# (build + root tests), workspace tests, the guard against
+# feature-gated test files, doctests, clippy, rustdoc and the benchmark
+# build. Fully offline — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,12 @@ cargo test -q
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> no feature-gated test files"
+if grep -rlE 'cfg(_attr)?\(.*feature' crates/*/tests tests; then
+    echo "the test files above are gated by a cargo feature" >&2
+    exit 1
+fi
 
 echo "==> cargo test -q --workspace --doc"
 cargo test -q --workspace --doc
