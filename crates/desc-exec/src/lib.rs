@@ -862,17 +862,9 @@ impl Pool {
     }
 }
 
-/// Concurrency target before any [`configure`] call: the `DESC_JOBS`
-/// environment variable if set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`].
+/// Concurrency target before any [`configure`] call: the hardware
+/// thread count.
 fn default_target() -> usize {
-    if let Ok(v) = std::env::var("DESC_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 

@@ -291,19 +291,32 @@ fn compute_traced<T>(
     (value, delta)
 }
 
-/// Simulates `profile` under a paper-configured scheme on the paper's
-/// multithreaded machine, through the cell store (see
-/// [`run_custom_keyed`]).
+/// Simulates `profile` under a paper-configured scheme on `config`,
+/// with the scheme's [`scheme_static_overhead`], through the cell
+/// store (see [`run_custom_keyed`]). Every paper-configured cell has
+/// the id `paper:{kind:?}`: the rest of its identity is `config`.
 #[must_use]
-pub fn run_app(kind: SchemeKind, profile: &BenchmarkProfile, scale: &Scale) -> AppRun {
+pub fn run_paper(
+    kind: SchemeKind,
+    config: SimConfig,
+    profile: &BenchmarkProfile,
+    scale: &Scale,
+) -> AppRun {
     run_custom_keyed(
         &format!("paper:{kind:?}"),
         kind.build_paper_config(),
-        SimConfig::paper_multithreaded(),
+        config,
         profile,
         scale,
         scheme_static_overhead(kind),
     )
+}
+
+/// Simulates `profile` under a paper-configured scheme on the paper's
+/// multithreaded machine ([`run_paper`]).
+#[must_use]
+pub fn run_app(kind: SchemeKind, profile: &BenchmarkProfile, scale: &Scale) -> AppRun {
+    run_paper(kind, SimConfig::paper_multithreaded(), profile, scale)
 }
 
 /// One S-NUCA-1 run behind the cell cache: constructs the

@@ -12,7 +12,7 @@
 //! * `abl_wires` — DESC on low-swing interconnect (the paper's §2
 //!   argues activity reduction composes with low-swing wires).
 
-use crate::common::{run_custom_keyed, run_matrix, Scale};
+use crate::common::{run_custom_keyed, run_matrix, run_paper, Scale};
 use crate::table::{geomean, r2, r3, Table};
 use desc_core::schemes::{AdaptiveDescScheme, DescScheme, SchemeKind, SkipMode};
 use desc_core::{ChunkSize, TransferScheme};
@@ -29,24 +29,19 @@ pub fn abl_sync(scale: &Scale) -> Table {
         ("Zero-skip DESC, shared clock (sync cache)", Some(false)),
     ];
     let per_app = run_matrix(&configs, &suite, scale, |&(_, build), p| {
-        let (scheme, id): (Box<dyn TransferScheme>, &str) = match build {
-            None => {
-                (SchemeKind::ConventionalBinary.build_paper_config(), "paper:ConventionalBinary")
-            }
+        let (scheme, id) = match build {
+            None => return run_paper(SchemeKind::ConventionalBinary, cfg, p, scale).l2_energy(),
             Some(true) => (
-                Box::new(DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero)),
+                DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero),
                 "desc:w128:c4:skip=Zero",
             ),
             Some(false) => (
-                Box::new(
-                    DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero)
-                        .without_sync_strobe(),
-                ),
+                DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero)
+                    .without_sync_strobe(),
                 "desc:w128:c4:skip=Zero:nostrobe",
             ),
         };
-        let overhead = if build.is_some() { 1.03 } else { 1.0 };
-        run_custom_keyed(id, scheme, cfg, p, scale, overhead).l2_energy()
+        run_custom_keyed(id, Box::new(scheme), cfg, p, scale, 1.03).l2_energy()
     });
     let totals: Vec<f64> =
         (0..configs.len()).map(|c| per_app.iter().map(|row| row[c]).sum()).collect();
@@ -77,29 +72,22 @@ pub fn abl_adaptive(scale: &Scale) -> Table {
         ["Zero skipping", "Last-value skipping", "Adaptive frequent-value skipping"];
     let configs: [usize; 4] = [0, 1, 2, 3];
     let per_app = run_matrix(&configs, &suite, scale, |&i, p| {
-        let (scheme, id, overhead): (Box<dyn TransferScheme>, &str, f64) = match i {
-            0 => (
-                SchemeKind::ConventionalBinary.build_paper_config(),
-                "paper:ConventionalBinary",
-                1.0,
-            ),
+        let (scheme, id): (Box<dyn TransferScheme>, &str) = match i {
+            0 => return run_paper(SchemeKind::ConventionalBinary, cfg, p, scale).l2_energy(),
             1 => (
                 Box::new(DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::Zero)),
                 "desc:w128:c4:skip=Zero",
-                1.03,
             ),
             2 => (
                 Box::new(DescScheme::new(128, ChunkSize::PAPER_DEFAULT, SkipMode::LastValue)),
                 "desc:w128:c4:skip=LastValue",
-                1.03,
             ),
             _ => (
                 Box::new(AdaptiveDescScheme::new(128, ChunkSize::PAPER_DEFAULT)),
                 "adaptive-desc:w128:c4",
-                1.03,
             ),
         };
-        run_custom_keyed(id, scheme, cfg, p, scale, overhead).l2_energy()
+        run_custom_keyed(id, scheme, cfg, p, scale, 1.03).l2_energy()
     });
     for (i, name) in POLICIES.iter().enumerate() {
         let ratios: Vec<f64> = per_app.iter().map(|row| row[i + 1] / row[0]).collect();
@@ -175,16 +163,7 @@ pub fn abl_wires(scale: &Scale) -> Table {
     let per_app = run_matrix(&configs, &suite, scale, |&(kind, signaling), p| {
         let mut cfg = SimConfig::paper_multithreaded();
         cfg.l2.signaling = signaling;
-        let overhead = if kind.is_desc() { 1.03 } else { 1.0 };
-        run_custom_keyed(
-            &format!("paper:{kind:?}"),
-            kind.build_paper_config(),
-            cfg,
-            p,
-            scale,
-            overhead,
-        )
-        .l2_energy()
+        run_paper(kind, cfg, p, scale).l2_energy()
     });
     let totals: Vec<f64> =
         (0..configs.len()).map(|c| per_app.iter().map(|row| row[c]).sum()).collect();

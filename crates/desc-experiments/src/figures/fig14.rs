@@ -4,7 +4,7 @@
 //! minimises both L2 and total processor energy at a negligible
 //! performance cost.
 
-use crate::common::{run_custom_keyed, run_matrix, Scale};
+use crate::common::{run_matrix, run_paper, Scale};
 use crate::table::{r2, Table};
 use desc_cacti::DeviceType;
 use desc_core::schemes::SchemeKind;
@@ -26,14 +26,7 @@ pub fn run(scale: &Scale) -> Table {
         let mut cfg = SimConfig::paper_multithreaded();
         cfg.l2.cell_device = cell;
         cfg.l2.periphery_device = periphery;
-        let run = run_custom_keyed(
-            "paper:ConventionalBinary",
-            SchemeKind::ConventionalBinary.build_paper_config(),
-            cfg,
-            p,
-            scale,
-            1.0,
-        );
+        let run = run_paper(SchemeKind::ConventionalBinary, cfg, p, scale);
         (run.l2_energy(), run.result.exec_time_s, run.processor.processor_total_j())
     });
     // Sum each configuration's columns over the suite.

@@ -3,7 +3,7 @@
 //! configuration of each scheme (starred in the paper) becomes its
 //! Fig. 16 baseline.
 
-use crate::common::{run_custom_keyed, run_matrix, Scale};
+use crate::common::{run_custom_keyed, run_matrix, run_paper, Scale};
 use crate::table::{r2, Table};
 use desc_core::schemes::{
     BusInvertScheme, DzcScheme, EncodedZeroSkipBusInvertScheme, SchemeKind, ZeroSkipBusInvertScheme,
@@ -38,15 +38,7 @@ pub fn run(scale: &Scale) -> Table {
     }
     let per_app = run_matrix(&configs, &suite, scale, |&(name, seg), p| {
         if name == "Binary" {
-            run_custom_keyed(
-                "paper:ConventionalBinary",
-                SchemeKind::ConventionalBinary.build_paper_config(),
-                cfg,
-                p,
-                scale,
-                1.0,
-            )
-            .l2_energy()
+            run_paper(SchemeKind::ConventionalBinary, cfg, p, scale).l2_energy()
         } else {
             run_custom_keyed(
                 &format!("{name}:w64:seg{seg}"),

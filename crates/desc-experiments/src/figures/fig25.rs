@@ -3,7 +3,7 @@
 //! banks removes most bank conflicts; ≈8 banks minimises both energy
 //! and time; beyond that per-bank overheads grow.
 
-use crate::common::{run_custom_keyed, run_matrix, Scale};
+use crate::common::{run_matrix, run_paper, Scale};
 use crate::table::{r2, Table};
 use desc_core::schemes::SchemeKind;
 use desc_sim::SimConfig;
@@ -21,15 +21,7 @@ pub fn run(scale: &Scale) -> Table {
     let per_app = run_matrix(&configs, &suite, scale, |&(banks, kind), p| {
         let mut cfg = SimConfig::paper_multithreaded();
         cfg.l2.banks = banks;
-        let overhead = if kind.is_desc() { 1.03 } else { 1.0 };
-        let run = run_custom_keyed(
-            &format!("paper:{kind:?}"),
-            kind.build_paper_config(),
-            cfg,
-            p,
-            scale,
-            overhead,
-        );
+        let run = run_paper(kind, cfg, p, scale);
         (run.l2_energy(), run.result.exec_time_s)
     });
     let sums: Vec<(f64, f64)> = (0..configs.len())

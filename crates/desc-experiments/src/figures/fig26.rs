@@ -3,9 +3,9 @@
 //! binary baseline. Paper: 4-bit chunks with 128 wires give the best
 //! energy-delay product; 8-bit chunks suffer long windows.
 
-use crate::common::{run_custom_keyed, run_matrix, Scale};
+use crate::common::{run_custom_keyed, run_matrix, run_paper, Scale};
 use crate::table::{r2, Table};
-use desc_core::schemes::{DescScheme, SkipMode};
+use desc_core::schemes::{DescScheme, SchemeKind, SkipMode};
 use desc_core::ChunkSize;
 use desc_sim::SimConfig;
 
@@ -26,14 +26,7 @@ pub fn run(scale: &Scale) -> Table {
     }
     let per_app = run_matrix(&configs, &suite, scale, |&(bits, wires), p| {
         let run = if bits == 0 {
-            run_custom_keyed(
-                "paper:ConventionalBinary",
-                desc_core::schemes::SchemeKind::ConventionalBinary.build_paper_config(),
-                cfg,
-                p,
-                scale,
-                1.0,
-            )
+            run_paper(SchemeKind::ConventionalBinary, cfg, p, scale)
         } else {
             let scheme = Box::new(DescScheme::new(
                 wires,

@@ -8,7 +8,7 @@
 //! reuses the stream it just computed instead of a second worker
 //! waiting for it. Each scheme is still its own stored cell.
 
-use crate::common::{run_custom_keyed, run_matrix, Scale};
+use crate::common::{run_matrix, run_paper, Scale};
 use crate::table::{r2, Table};
 use desc_core::schemes::SchemeKind;
 use desc_sim::SimConfig;
@@ -24,19 +24,9 @@ pub fn run(scale: &Scale) -> Table {
     let per_app = run_matrix(&CAPACITIES, &suite, scale, |&capacity, p| {
         let mut cfg = SimConfig::paper_multithreaded();
         cfg.l2.capacity_bytes = capacity;
-        let energy = |kind: SchemeKind, overhead| {
-            run_custom_keyed(
-                &format!("paper:{kind:?}"),
-                kind.build_paper_config(),
-                cfg,
-                p,
-                scale,
-                overhead,
-            )
-            .l2_energy()
-        };
-        let bin = energy(SchemeKind::ConventionalBinary, 1.0);
-        (bin, energy(SchemeKind::ZeroSkippedDesc, 1.03))
+        let energy = |kind| run_paper(kind, cfg, p, scale).l2_energy();
+        let bin = energy(SchemeKind::ConventionalBinary);
+        (bin, energy(SchemeKind::ZeroSkippedDesc))
     });
     let sums: Vec<(f64, f64)> = (0..CAPACITIES.len())
         .map(|c| {

@@ -3,7 +3,7 @@
 //! (paper geomean ≈ 1.06 — latency-sensitive cores pay for DESC's
 //! longer transfers).
 
-use crate::common::{run_custom_keyed, run_matrix, Scale};
+use crate::common::{run_matrix, run_paper, Scale};
 use crate::table::{geomean, r3, Table};
 use desc_core::schemes::SchemeKind;
 use desc_sim::SimConfig;
@@ -20,17 +20,7 @@ pub fn run(scale: &Scale) -> Table {
     let apps: Vec<_> = spec_suite().into_iter().take(scale.apps.max(2)).collect();
     let kinds = [SchemeKind::ConventionalBinary, SchemeKind::ZeroSkippedDesc];
     let per_app = run_matrix(&kinds, &apps, scale, |&kind, p| {
-        let overhead = if kind.is_desc() { 1.03 } else { 1.0 };
-        run_custom_keyed(
-            &format!("paper:{kind:?}"),
-            kind.build_paper_config(),
-            cfg,
-            p,
-            scale,
-            overhead,
-        )
-        .result
-        .exec_time_s
+        run_paper(kind, cfg, p, scale).result.exec_time_s
     });
     let mut ratios = Vec::new();
     for (p, row) in apps.iter().zip(&per_app) {

@@ -1,8 +1,8 @@
 //! In-process tests of single-flight cell dedup through the real
-//! experiment path (`run_custom_keyed`): concurrent demanders of one
-//! cold cell compute it exactly once, a cancelled leader hands the
-//! cell off to a waiting follower (satellite: deadline kills the
-//! computing leader mid-cell — the follower must inherit or
+//! experiment path (`run_app`, a `run_custom_keyed` cell): concurrent
+//! demanders of one cold cell compute it exactly once, a cancelled
+//! leader hands the cell off to a waiting follower (a deadline kills
+//! the computing leader mid-cell — the follower must inherit or
 //! recompute, never hang, never observe a partial entry), and a
 //! cancelled *follower* abandons its wait promptly.
 //!
@@ -12,7 +12,7 @@
 use desc_cache::{CacheStore, FlightOutcome};
 use desc_core::schemes::SchemeKind;
 use desc_experiments::cache::{self, CELL_SCHEMA_VERSION};
-use desc_experiments::common::{run_custom_keyed, scheme_static_overhead, Scale};
+use desc_experiments::common::{run_app, scheme_static_overhead, Scale};
 use desc_sim::SimConfig;
 use desc_workloads::BenchmarkId;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -28,16 +28,7 @@ fn serialize() -> std::sync::MutexGuard<'static, ()> {
 const KIND: SchemeKind = SchemeKind::ZeroSkippedDesc;
 
 fn run_cell() -> Vec<u8> {
-    let kind = KIND;
-    let run = run_custom_keyed(
-        &format!("paper:{kind:?}"),
-        kind.build_paper_config(),
-        SimConfig::paper_multithreaded(),
-        &BenchmarkId::Radix.profile(),
-        &Scale::tiny(),
-        scheme_static_overhead(kind),
-    );
-    cache::encode_app_run(&run)
+    cache::encode_app_run(&run_app(KIND, &BenchmarkId::Radix.profile(), &Scale::tiny()))
 }
 
 fn cell_key() -> desc_cache::CellKey {

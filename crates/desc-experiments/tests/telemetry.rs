@@ -68,7 +68,7 @@ fn telemetry_is_invisible_in_outputs_and_deterministic_in_counters() {
     assert!(!cells.is_empty(), "parallel sweep recorded no per-cell spans");
     assert!(
         cells.iter().any(|s| s.label.contains('/')),
-        "fig16 cell spans should be labeled scheme/app, got e.g. {:?}",
+        "fig16 cell spans should be labeled c<config>/<app>, got e.g. {:?}",
         cells.first().map(|s| &s.label)
     );
     assert!(

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod bank;
-mod batch;
 pub mod cache;
 pub mod config;
 pub mod dram;

@@ -16,9 +16,12 @@
 //!   every cell over the same input;
 //! - the split of the stream into the cell's partitions
 //!   ([`Cell::stream`]);
-//! - a partition's bank channels ([`Cell::channels`]): one power-on
-//!   [`TransferScheme`] replica each, handed over through the
-//!   partition's own state;
+//! - the encode half of a partition's pass ([`Cell::costs`]): every
+//!   value block the partition moves is drawn and encoded here, and
+//!   only here, through one power-on [`TransferScheme`] replica per
+//!   bank channel, handed over through the partition's own state; the
+//!   simulators then settle each access against its channel's costs in
+//!   one program-order loop;
 //! - the only partition entry point ([`Cell::run`]);
 //! - the DRAM epoch barrier ([`replay_dram`]);
 //! - the execution-time roll-up ([`Cell::exec_cycles`]).
@@ -66,19 +69,25 @@
 //! never by `shards`, so results are bit-identical for any cap.
 
 use crate::bank::home_bank;
-use crate::batch::ChannelBatch;
 use crate::cache::{CacheOutcome, SetAssocCache};
 use crate::config::SimConfig;
 use crate::dram::Dram;
 use desc_cache::memo::{Claim, Memo};
-use desc_core::TransferScheme;
-use desc_workloads::{Access, BenchmarkId, BenchmarkProfile, ValueStream};
+use desc_core::{BlockSlab, TransferCost, TransferScheme};
+use desc_workloads::{Access, BenchmarkId, BenchmarkProfile};
 use std::sync::{Arc, OnceLock};
+use std::vec;
 
 /// Byte budget of the outcome-stream memo: 32 quick-scale streams
 /// (4 000 accesses of 16 bytes) or six full-scale ones, enough to
 /// cover the cells a sweep runs over one input in a row.
 const MEMO_BYTES: u64 = 2 << 20;
+
+/// Blocks per [`TransferScheme::transfer_many`] call in
+/// [`Cell::costs`]: a 16 KiB slab of 64-byte blocks, reused across a
+/// partition's channels, still amortizes dispatch over hundreds of
+/// blocks.
+const SLAB_BLOCKS: usize = 256;
 
 /// One measured access of an outcome stream: what the directory
 /// decided, and everything the per-scheme passes read besides.
@@ -240,7 +249,7 @@ impl<'a> Cell<'a> {
 
     /// `n` power-on replicas of `scheme`, cloned on the calling thread
     /// (`clone_box` borrows the template) for a partition's state to
-    /// hand to [`Cell::channels`].
+    /// hand to [`Cell::costs`].
     pub(crate) fn replicas(scheme: &dyn TransferScheme, n: usize) -> Vec<Box<dyn TransferScheme>> {
         (0..n)
             .map(|_| {
@@ -251,20 +260,46 @@ impl<'a> Cell<'a> {
             .collect()
     }
 
-    /// Partition `p`'s channels: replica `k` drives bank
-    /// `p + k·parts` and draws that bank's value stream.
-    pub(crate) fn channels(
+    /// Partition `p`'s transfer costs, one iterator per channel, to be
+    /// taken in program order: a hit or a miss fill takes its channel's
+    /// next cost, and a writeback the one after.
+    ///
+    /// Replica `k` drives channel `k`. One replica drives every bank of
+    /// the partition and draws the value stream of its lowest bank `p`
+    /// (UCA); otherwise channel `k` drives bank `p + k·parts` and draws
+    /// that bank's stream (S-NUCA, one channel per owned bank). A
+    /// block's cost depends only on the scheme and the blocks before it
+    /// on its channel, so each channel draws its whole share of blocks
+    /// and encodes them through [`TransferScheme::transfer_many`] in
+    /// slabs of [`SLAB_BLOCKS`] — bit-identical to transferring them
+    /// one access at a time.
+    pub(crate) fn costs(
         &self,
         p: usize,
         replicas: Vec<Box<dyn TransferScheme>>,
-    ) -> Vec<Channel> {
+    ) -> Vec<vec::IntoIter<TransferCost>> {
+        let channels = replicas.len();
+        let mut blocks = vec![0usize; channels];
+        for o in self.stream(p) {
+            let k = if channels == 1 { 0 } else { self.bank(o.addr) / self.parts };
+            blocks[k] += 1 + usize::from(o.result == CacheOutcome::Miss { writeback: true });
+        }
+        let mut slab = BlockSlab::with_capacity(self.cfg.l2.block_bytes, SLAB_BLOCKS);
         replicas
             .into_iter()
+            .zip(blocks)
             .zip((p..).step_by(self.parts))
-            .map(|(scheme, bank)| Channel {
-                scheme,
-                values: self.profile.value_stream_for_bank(self.seed, bank),
-                batch: ChannelBatch::new(self.cfg.l2.block_bytes),
+            .map(|((mut scheme, n), bank)| {
+                let mut values = self.profile.value_stream_for_bank(self.seed, bank);
+                let mut costs = Vec::with_capacity(n);
+                while costs.len() < n {
+                    slab.clear();
+                    for _ in 0..SLAB_BLOCKS.min(n - costs.len()) {
+                        slab.push(values.next_block_ref());
+                    }
+                    scheme.transfer_many(&slab, &mut costs);
+                }
+                costs.into_iter()
             })
             .collect()
     }
@@ -415,29 +450,6 @@ fn outcome_stream(
         outcomes[o.idx as usize] = *o;
     }
     Stream { outcomes, invalidations: slices.iter().map(|s| s.invalidations).sum() }
-}
-
-/// One bank channel of a partition: its scheme replica (wire state is
-/// per channel), the bank's value stream and the batch of blocks
-/// awaiting encode.
-pub(crate) struct Channel {
-    scheme: Box<dyn TransferScheme>,
-    values: ValueStream,
-    pub batch: ChannelBatch,
-}
-
-impl Channel {
-    /// Draws the next block of the value stream into the batch — the
-    /// stream's scratch block is copied into the slab, so the draw
-    /// order and bytes are identical to per-access transfers.
-    pub(crate) fn queue_next(&mut self) {
-        self.batch.push(self.values.next_block_ref());
-    }
-
-    /// Encodes the queued blocks through the channel's scheme.
-    pub(crate) fn encode(&mut self) {
-        self.batch.encode(self.scheme.as_mut());
-    }
 }
 
 /// A DRAM request a partition emits for the epoch barrier. `route`
@@ -689,6 +701,70 @@ mod tests {
         // Nor are the profile's timing and content fields.
         let timing = BenchmarkProfile { l2_apki: 99.0, base_ipc: 0.1, ..profile };
         assert_eq!(key(&cfg, &profile, 3, 2_000), key(&cfg, &timing, 3, 2_000));
+    }
+
+    #[test]
+    fn costs_match_per_block_transfers_in_program_order() {
+        // The reference draws each access's blocks from its channel's
+        // bank value stream in program order, as the per-access loop
+        // did, and transfers them one block at a time. Each checked
+        // channel moves more than one slab of blocks, so a stateful
+        // scheme must carry its wires across slab boundaries.
+        use desc_core::schemes::SchemeKind;
+        use desc_core::BlockSlab;
+
+        // 8 banks over the 256 KB L2's 256 sets: eight one-channel
+        // (UCA) partitions. 8 banks over a 4 KB L2's 4 sets: one
+        // partition whose eight channels each drive one bank (S-NUCA
+        // with fewer sets than banks).
+        let mut tiny = small_cfg();
+        tiny.l2.capacity_bytes = 4 << 10;
+        for (cfg, channels_per_part) in [(small_cfg(), 1), (tiny, 8)] {
+            let profile = BenchmarkId::Mg.profile();
+            let cell = Cell::new(&cfg, 8, &profile, 9, 3_000);
+            assert_eq!(cell.parts * channels_per_part, 8);
+            for kind in [
+                SchemeKind::ConventionalBinary,
+                SchemeKind::ZeroSkippedDesc,
+                SchemeKind::LastValueSkippedDesc,
+            ] {
+                let scheme = kind.build_paper_config();
+                for p in 0..cell.parts {
+                    let got = cell.costs(p, Cell::replicas(scheme.as_ref(), channels_per_part));
+                    assert_eq!(got.len(), channels_per_part);
+
+                    let banks: Vec<usize> =
+                        (0..channels_per_part).map(|k| p + k * cell.parts).collect();
+                    let mut values: Vec<_> =
+                        banks.iter().map(|&b| profile.value_stream_for_bank(9, b)).collect();
+                    let mut slabs: Vec<BlockSlab> =
+                        banks.iter().map(|_| BlockSlab::with_capacity(64, 0)).collect();
+                    let mut writebacks = 0;
+                    for o in cell.stream(p) {
+                        let k = if channels_per_part == 1 {
+                            0
+                        } else {
+                            banks.iter().position(|&b| b == cell.bank(o.addr)).expect("owned")
+                        };
+                        slabs[k].push(values[k].next_block_ref());
+                        if o.result == (CacheOutcome::Miss { writeback: true }) {
+                            slabs[k].push(values[k].next_block_ref());
+                            writebacks += 1;
+                        }
+                    }
+                    assert!(writebacks > 0, "p{p} moves no writeback");
+                    for (k, (slab, costs)) in slabs.iter().zip(got).enumerate() {
+                        assert!(slab.len() > SLAB_BLOCKS, "p{p} channel {k}: {}", slab.len());
+                        let mut reference = scheme.clone_box();
+                        reference.reset();
+                        let mut expect = Vec::new();
+                        desc_core::transfer_each(&mut reference, slab, &mut expect);
+                        let costs: Vec<TransferCost> = costs.collect();
+                        assert_eq!(costs, expect, "{kind:?} p{p} channel {k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

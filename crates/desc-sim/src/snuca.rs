@@ -23,15 +23,19 @@
 //! add `completion − arrival` to the latency sum. Results are
 //! therefore **bit-identical for any shard count**.
 //!
+//! A partition's pass encodes first — the skeleton draws and encodes
+//! every block each of its bank channels moves — and then accounts in
+//! one program-order loop, so the `f64` energy sums accumulate in the
+//! per-access order whatever the channel count.
+//!
 //! What is particular to this organisation: per-bank wire latency and
-//! energy, bank timing scheduled inside the functional pass, and a
-//! single timing pass at the base arrival rate.
+//! energy, bank timing scheduled inside that loop, and a single timing
+//! pass at the base arrival rate.
 
 use crate::bank::BankScheduler;
-use crate::batch::FLUSH_CAP;
 use crate::cache::CacheOutcome;
 use crate::config::SimConfig;
-use crate::shard::{replay_dram, Cell, Channel, MissEvent, Outcome};
+use crate::shard::{replay_dram, Cell, MissEvent, Outcome};
 use desc_cacti::snuca::SnucaModel;
 use desc_cacti::CacheModel;
 use desc_core::TransferScheme;
@@ -91,19 +95,6 @@ struct PartitionOut {
     /// arrival cycle.
     events: Vec<MissEvent<u64>>,
     hit_latency_hist: desc_telemetry::LocalHistogram,
-}
-
-/// An access whose bookkeeping is deferred until its channel's batch
-/// drains: the S-NUCA energy sums are `f64` accumulations whose order
-/// must match the per-access scalar loop bit for bit, so *everything*
-/// except the outcome read and the value-stream draws replays at
-/// drain time, in program order.
-struct PendingAccess {
-    idx: u32,
-    addr: u64,
-    bank: usize,
-    miss: bool,
-    writeback: bool,
 }
 
 /// A configured S-NUCA-1 simulation.
@@ -173,68 +164,51 @@ impl SnucaSim {
             .collect();
         cell.run(&mut outs, |p, out| {
             // Owned bank `b` is channel `b / parts` (b ≡ p mod parts).
-            let mut channels = cell.channels(p, std::mem::take(&mut out.replicas));
+            let mut costs = cell.costs(p, std::mem::take(&mut out.replicas));
             let mut sched = BankScheduler::new(banks);
-            // Transfers are batched per channel; the queued accesses
-            // replay in program order at drain time, so the f64 energy
-            // accumulation order — and with it every result bit — is
-            // identical to the per-access scalar loop.
-            let mut pending: Vec<PendingAccess> = Vec::with_capacity(FLUSH_CAP);
+            // (occupancy cycles, effective latency cycles) of the next
+            // block on `bank`'s channel — the effective window
+            // (Fig. 21) makes the requester-visible latency shorter
+            // than the port-occupancy window.
+            let mut take = |out: &mut PartitionOut, bank: usize| -> (u64, u64) {
+                let cost = costs[bank / parts].next().expect("one cost per block moved");
+                let transitions = cost.total_transitions();
+                out.transitions += transitions;
+                out.wire_energy_j += transitions as f64 * model.bank_energy_per_transition(bank);
+                (cost.cycles, cost.latency())
+            };
 
-            let drain = |channels: &mut [Channel],
-                         pending: &mut Vec<PendingAccess>,
-                         sched: &mut BankScheduler,
-                         out: &mut PartitionOut| {
-                if pending.is_empty() {
-                    return;
-                }
-                for ch in channels.iter_mut() {
-                    if ch.batch.queued() > 0 {
-                        ch.encode();
-                    }
-                }
-                for pa in pending.drain(..) {
-                    let bank = pa.bank;
-                    let wire_lat = model.bank_latency_cycles(bank);
-                    let arrival = (f64::from(pa.idx) * base_cpa) as u64;
-                    out.array_energy_j += cache_model.tag_access_energy();
-
-                    // (occupancy cycles, effective latency cycles) —
-                    // the effective window (Fig. 21) makes the
-                    // requester-visible latency shorter than the
-                    // port-occupancy window.
-                    let take = |out: &mut PartitionOut, ch: &mut Channel| -> (u64, u64) {
-                        let cost = ch.batch.next_cost();
-                        let transitions = cost.total_transitions();
-                        out.transitions += transitions;
-                        out.wire_energy_j +=
-                            transitions as f64 * model.bank_energy_per_transition(bank);
-                        (cost.cycles, cost.latency())
-                    };
-
-                    let ch = &mut channels[bank / parts];
-                    if pa.miss {
+            // One program-order loop, so the f64 energy sums accumulate
+            // in per-access order.
+            for &Outcome { addr, idx, result, .. } in cell.stream(p) {
+                let bank = cell.bank(addr);
+                let wire_lat = model.bank_latency_cycles(bank);
+                let arrival = (f64::from(idx) * base_cpa) as u64;
+                out.array_energy_j += cache_model.tag_access_energy();
+                match result {
+                    CacheOutcome::Miss { writeback } => {
                         out.misses += 1;
-                        let (fill, fill_lat) = take(out, ch);
+                        let (fill, fill_lat) = take(out, bank);
                         out.array_energy_j += cache_model.array_write_energy();
                         let mut service = ARRAY_CYCLES + fill;
-                        if pa.writeback {
-                            service += take(out, ch).0;
+                        if writeback {
+                            service += take(out, bank).0;
                             out.array_energy_j += cache_model.array_read_energy();
                         }
                         let (start, queue) = sched.schedule(bank, arrival, service);
                         out.events.push(MissEvent {
-                            idx: u64::from(pa.idx),
-                            addr: pa.addr,
+                            idx: u64::from(idx),
+                            addr,
                             issue: start + ARRAY_CYCLES + wire_lat,
                             route: arrival,
                         });
-                        // The DRAM share (completion − arrival) is
-                        // added at the epoch barrier below.
+                        // The DRAM share (completion − arrival) is added
+                        // at the epoch barrier below.
                         out.latency_sum += queue + fill_lat + iface;
-                    } else {
+                    }
+                    CacheOutcome::Hit => {
                         out.hits += 1;
-                        let (cycles, lat) = take(out, ch);
+                        let (cycles, lat) = take(out, bank);
                         out.array_energy_j += cache_model.array_read_energy();
                         let latency = ARRAY_CYCLES + wire_lat + lat + iface;
                         out.hit_latency_sum += latency;
@@ -245,29 +219,7 @@ impl SnucaSim {
                         out.latency_sum += latency + queue;
                     }
                 }
-            };
-
-            let mut queued_blocks = 0usize;
-            for &Outcome { addr, idx: i, result, .. } in cell.stream(p) {
-                let bank = cell.bank(addr);
-                let (miss, writeback) = match result {
-                    CacheOutcome::Hit => (false, false),
-                    CacheOutcome::Miss { writeback } => (true, writeback),
-                };
-                let ch = &mut channels[bank / parts];
-                ch.queue_next();
-                queued_blocks += 1;
-                if miss && writeback {
-                    ch.queue_next();
-                    queued_blocks += 1;
-                }
-                pending.push(PendingAccess { idx: i, addr, bank, miss, writeback });
-                if queued_blocks >= FLUSH_CAP {
-                    drain(&mut channels, &mut pending, &mut sched, out);
-                    queued_blocks = 0;
-                }
             }
-            drain(&mut channels, &mut pending, &mut sched, out);
             out.horizon = sched.horizon();
         });
 

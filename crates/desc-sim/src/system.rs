@@ -10,11 +10,15 @@
 //! decided for each of its accesses — which every scheme run on the
 //! same cell input shares. Each partition owns one transfer channel (a
 //! [`TransferScheme::clone_box`] replica and the value stream of its
-//! lowest bank) and its own address bus. Partitions run serially or
-//! on the shared pool ([`SimConfig::shards`]) and merge with a
-//! deterministic, order-independent reduction in fixed bank order, so
-//! **results are bit-identical for any shard count**. Cross-bank DRAM
-//! contention is reconciled at the epoch barrier
+//! lowest bank) and its own address bus. A partition's functional pass
+//! encodes first — the skeleton draws and encodes every block the
+//! channel moves — and then accounts: one program-order loop over the
+//! outcome stream takes each access's cost(s) from the channel and
+//! does its H-tree, address-bus and latency bookkeeping. Partitions
+//! run serially or on the shared pool ([`SimConfig::shards`]) and
+//! merge with a deterministic, order-independent reduction in fixed
+//! bank order, so **results are bit-identical for any shard count**.
+//! Cross-bank DRAM contention is reconciled at the epoch barrier
 //! ([`SimConfig::dram_epoch_cycles`]), whose completions route back
 //! to `(partition, record)`.
 //!
@@ -24,10 +28,9 @@
 //! rate.
 
 use crate::bank::BankScheduler;
-use crate::batch::FLUSH_CAP;
 use crate::cache::CacheOutcome;
 use crate::config::SimConfig;
-use crate::shard::{replay_dram, Cell, Channel, MissEvent, Outcome};
+use crate::shard::{replay_dram, Cell, MissEvent, Outcome};
 use desc_cacti::cache::CacheActivity;
 use desc_cacti::CacheModel;
 use desc_core::wire::Bus;
@@ -90,23 +93,6 @@ struct AccessRecord {
     service: u64,
     /// Intrinsic latency excluding queueing and DRAM.
     base_latency: u64,
-}
-
-/// An access whose transfer cost(s) are still queued in the channel's
-/// batch; its outcome and all order-insensitive counters were settled
-/// when it was enqueued.
-struct PendingAccess {
-    idx: u32,
-    addr: u64,
-    bank: usize,
-    kind: PendingKind,
-}
-
-/// Which transfer costs a pending access consumes at drain time: one
-/// for a hit or a clean miss fill, two for a miss with writeback.
-enum PendingKind {
-    Hit { write: bool },
-    Miss { writeback: bool },
 }
 
 /// One bank partition's functional phase: the scheme replica it takes
@@ -209,15 +195,11 @@ impl SystemSim {
         let telemetry = desc_telemetry::enabled();
 
         // ---- Functional phase: outcomes, transfers, transitions. ----
-        // Transfers are batched: value-stream blocks accumulate into
-        // the channel's slab and are encoded through
-        // `TransferScheme::transfer_many` in bounded flushes; the
-        // queued accesses then replay in program order against the
-        // returned costs, so every result is bit-identical to the
-        // per-access scalar path. Each partition drives one channel
-        // (shared by all banks when the cell runs as one partition);
-        // partitions share no mutable state, so the merge below is
-        // deterministic.
+        // Each partition encodes its channel's blocks first
+        // (`Cell::costs`: one channel, shared by all banks when the
+        // cell runs as one partition), then settles every access in
+        // program order against the returned costs. Partitions share
+        // no mutable state, so the merge below is deterministic.
         let mut sims: Vec<PartitionSim> = (0..cell.parts)
             .map(|_| PartitionSim {
                 replicas: Cell::replicas(scheme.as_ref(), 1),
@@ -226,135 +208,74 @@ impl SystemSim {
             .collect();
         cell.run(&mut sims, |p, out| {
             let stream = cell.stream(p);
-            // The records outlive this closure and the channel's
-            // buffers do not; allocating the records first keeps them
-            // from pinning the heap above the freed buffers (the other
-            // order raised `repro --quick --jobs 2 all`'s peak RSS by
-            // about 5 MB).
+            // The records outlive this closure and the costs do not;
+            // allocating the records first keeps them from pinning the
+            // heap above the freed costs (the other order raised
+            // `repro --quick --jobs 2 all`'s peak RSS by about 5 MB).
             out.records.reserve(stream.len());
-            let mut channels = cell.channels(p, std::mem::take(&mut out.replicas));
-            let ch = &mut channels[0];
+            let mut costs = cell.costs(p, std::mem::take(&mut out.replicas)).swap_remove(0);
             let mut addr_bus = Bus::new(48);
-            let mut pending: Vec<PendingAccess> = Vec::with_capacity(FLUSH_CAP);
+            let mut take = |out: &mut PartitionSim, write_dir: bool| -> TransferCost {
+                let cost = costs.next().expect("one cost per block moved");
+                out.transfer.record(cost);
+                let mut transitions = cost.total_transitions();
+                if is_last_value && write_dir {
+                    // Last-value skipping broadcasts write data across
+                    // subbanks to keep the controller's last-value
+                    // table coherent (§5.2): extra H-tree energy.
+                    transitions += (cost.data_transitions as f64 * lv_penalty).round() as u64;
+                }
+                out.activity.htree_transitions += transitions;
+                cost
+            };
 
-            // Replays the queued accesses against the drained costs in
-            // program order — the exact per-access bookkeeping the
-            // scalar loop did, just decoupled from encoding.
-            let drain =
-                |ch: &mut Channel, pending: &mut Vec<PendingAccess>, out: &mut PartitionSim| {
-                    if pending.is_empty() {
-                        return;
-                    }
-                    ch.encode();
-                    for pa in pending.drain(..) {
-                        let take = |out: &mut PartitionSim,
-                                    ch: &mut Channel,
-                                    write_dir: bool|
-                         -> TransferCost {
-                            let cost = ch.batch.next_cost();
-                            out.transfer.record(cost);
-                            let mut transitions = cost.total_transitions();
-                            if is_last_value && write_dir {
-                                // Last-value skipping broadcasts write data
-                                // across subbanks to keep the controller's
-                                // last-value table coherent (§5.2): extra
-                                // H-tree energy.
-                                transitions +=
-                                    (cost.data_transitions as f64 * lv_penalty).round() as u64;
-                            }
-                            out.activity.htree_transitions += transitions;
-                            cost
-                        };
-                        match pa.kind {
-                            PendingKind::Hit { write } => {
-                                let cost = take(out, ch, write);
-                                // Effective latency (Fig. 21 window model);
-                                // port occupancy uses the full window.
-                                let latency = array + tree + cost.latency() + iface;
-                                out.hit_latency_sum += latency;
-                                if telemetry {
-                                    out.hit_latency_hist.record(latency);
-                                }
-                                out.records.push(AccessRecord {
-                                    idx: u64::from(pa.idx),
-                                    addr: pa.addr,
-                                    bank: pa.bank,
-                                    miss: false,
-                                    service: array + cost.cycles,
-                                    base_latency: latency,
-                                });
-                            }
-                            PendingKind::Miss { writeback } => {
-                                // Fill: one block moves over the H-tree
-                                // into the bank (and onward to the
-                                // requester).
-                                let fill = take(out, ch, true);
-                                let mut service = array + fill.cycles;
-                                if writeback {
-                                    let wb = take(out, ch, false);
-                                    service += wb.cycles;
-                                }
-                                out.records.push(AccessRecord {
-                                    idx: u64::from(pa.idx),
-                                    addr: pa.addr,
-                                    bank: pa.bank,
-                                    miss: true,
-                                    service,
-                                    // DRAM latency is added during the
-                                    // timing phase.
-                                    base_latency: miss_detect + fill.latency() + iface,
-                                });
-                            }
-                        }
-                    }
-                };
-
-            for &Outcome { addr, idx: i, write, result } in stream {
-                let bank = cell.bank(addr);
+            for &Outcome { addr, idx, write, result } in stream {
                 out.activity.tag_lookups += 1;
                 let addr_flips = u64::from(addr_bus.drive((addr >> 6) & ((1 << 48) - 1)));
                 out.activity.htree_transitions += addr_flips;
-
-                // Queue the access's block(s); counters that don't
-                // need the cost are settled here.
-                match result {
+                let (miss, service, base_latency) = match result {
                     CacheOutcome::Hit => {
-                        ch.queue_next();
+                        let cost = take(out, write);
                         out.hits += 1;
                         if write {
                             out.activity.array_writes += 1;
                         } else {
                             out.activity.array_reads += 1;
                         }
-                        pending.push(PendingAccess {
-                            idx: i,
-                            addr,
-                            bank,
-                            kind: PendingKind::Hit { write },
-                        });
+                        // Effective latency (Fig. 21 window model); port
+                        // occupancy uses the full window.
+                        let latency = array + tree + cost.latency() + iface;
+                        out.hit_latency_sum += latency;
+                        if telemetry {
+                            out.hit_latency_hist.record(latency);
+                        }
+                        (false, array + cost.cycles, latency)
                     }
                     CacheOutcome::Miss { writeback } => {
-                        ch.queue_next();
+                        // Fill: one block moves over the H-tree into the
+                        // bank (and onward to the requester).
+                        let fill = take(out, true);
                         out.misses += 1;
                         out.activity.array_writes += 1;
+                        let mut service = array + fill.cycles;
                         if writeback {
+                            service += take(out, false).cycles;
                             out.writebacks += 1;
-                            ch.queue_next();
                             out.activity.array_reads += 1;
                         }
-                        pending.push(PendingAccess {
-                            idx: i,
-                            addr,
-                            bank,
-                            kind: PendingKind::Miss { writeback },
-                        });
+                        // DRAM latency is added during the timing phase.
+                        (true, service, miss_detect + fill.latency() + iface)
                     }
-                }
-                if ch.batch.queued() >= FLUSH_CAP {
-                    drain(ch, &mut pending, out);
-                }
+                };
+                out.records.push(AccessRecord {
+                    idx: u64::from(idx),
+                    addr,
+                    bank: cell.bank(addr),
+                    miss,
+                    service,
+                    base_latency,
+                });
             }
-            drain(ch, &mut pending, out);
         });
 
         // Deterministic functional merge, fixed bank order.

@@ -10,16 +10,13 @@
 use desc_core::schemes::SchemeKind;
 use desc_sim::{SimConfig, SnucaSim, SystemSim};
 use desc_workloads::BenchmarkId;
-use std::sync::{mpsc, Once};
+use std::sync::mpsc;
 use std::time::Duration;
 
-/// A two-thread pool (`repro --jobs 2`), set before anything sizes it.
+/// The pool `repro --jobs 2` asks for: at least two threads, so
+/// partitions and cells really run concurrently.
 fn two_thread_pool() {
-    static POOL: Once = Once::new();
-    POOL.call_once(|| {
-        std::env::set_var("DESC_JOBS", "2");
-        desc_exec::configure(2);
-    });
+    desc_exec::configure(2);
     desc_telemetry::set_enabled(true);
 }
 

@@ -3,6 +3,7 @@
 
 use desc_core::rng::check_property;
 use desc_sim::bank::BankScheduler;
+use desc_sim::cache::CacheOutcome;
 use desc_sim::dram::Dram;
 use desc_sim::SetAssocCache;
 
@@ -51,26 +52,91 @@ fn dram_is_causal() {
     });
 }
 
-/// The cache directory conserves accesses: every access is a hit
-/// or a miss, and a set never holds duplicate tags.
-#[test]
-fn cache_conserves_accesses() {
-    check_property("cache_conserves_accesses", CASES, |rng| {
-        let accesses: Vec<(u64, bool)> = (0..rng.gen_range(1usize..500))
-            .map(|_| (rng.gen_range(0u64..(1 << 16)), rng.gen()))
-            .collect();
-        let mut cache = SetAssocCache::new(4096, 64, 4);
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for &(addr, write) in &accesses {
-            if cache.access(addr & !63, write, 0).is_hit() {
-                hits += 1;
+/// A naive reference directory: per set, a recency list of resident
+/// blocks (least recent first) with their dirty bit and sharer set.
+struct ReferenceLru {
+    sets: Vec<Vec<RefLine>>,
+    ways: usize,
+    block_bytes: u64,
+    invalidations: u64,
+}
+
+#[derive(Clone, Copy)]
+struct RefLine {
+    block: u64,
+    dirty: bool,
+    sharers: u32,
+}
+
+impl ReferenceLru {
+    fn new(sets: usize, ways: usize, block_bytes: u64) -> Self {
+        Self { sets: vec![Vec::new(); sets], ways, block_bytes, invalidations: 0 }
+    }
+
+    fn access(&mut self, addr: u64, write: bool, core: u8) -> CacheOutcome {
+        let block = addr / self.block_bytes;
+        let index = (block % self.sets.len() as u64) as usize;
+        let set = &mut self.sets[index];
+        if let Some(i) = set.iter().position(|l| l.block == block) {
+            let mut line = set.remove(i);
+            if write {
+                self.invalidations += u64::from((line.sharers & !(1 << core)).count_ones());
+                line.dirty = true;
+                line.sharers = 1 << core;
             } else {
-                misses += 1;
+                line.sharers |= 1 << core;
             }
+            set.push(line);
+            return CacheOutcome::Hit;
         }
-        assert_eq!(hits + misses, accesses.len() as u64);
-        // Re-touching the most recent block always hits.
-        let (addr, _) = accesses.last().expect("at least one access");
-        assert!(cache.access(addr & !63, false, 0).is_hit());
+        let writeback = set.len() == self.ways && set.remove(0).dirty;
+        set.push(RefLine { block, dirty: write, sharers: 1 << core });
+        CacheOutcome::Miss { writeback }
+    }
+}
+
+/// The directory is true LRU, write-back and allocate-on-miss: access
+/// by access, the full directory and every bank slice decide hit, miss
+/// and miss-with-writeback exactly as a naive per-set recency list
+/// does, and count the same L1 invalidations.
+#[test]
+fn cache_matches_a_reference_lru() {
+    // Outcomes seen over all cases: each kind must occur, or the
+    // comparison proves nothing about it.
+    let mut seen = [0u64; 4];
+    check_property("cache_matches_a_reference_lru", CASES, |rng| {
+        let block_bytes = 32u64 << rng.gen_range(0u32..3);
+        let ways = 1usize << rng.gen_range(0u32..4);
+        let sets = 1usize << rng.gen_range(0u32..7);
+        let capacity = block_bytes as usize * ways * sets;
+        let banks = 1usize << rng.gen_range(0..=sets.trailing_zeros());
+        let mut full = SetAssocCache::new(capacity, block_bytes as usize, ways);
+        let mut slices: Vec<SetAssocCache> = (0..banks)
+            .map(|b| SetAssocCache::bank_slice(capacity, block_bytes as usize, ways, banks, b))
+            .collect();
+        let mut reference = ReferenceLru::new(sets, ways, block_bytes);
+        // A footprint of one to four capacities, half the accesses on
+        // its first eighth so that sets see hits as well as evictions.
+        let footprint = (capacity * rng.gen_range(1usize..5)) as u64;
+        for i in 0..rng.gen_range(1usize..600) {
+            let span = if rng.gen_bool(0.5) { footprint / 8 + 1 } else { footprint };
+            let addr = rng.gen_range(0..span);
+            let write = rng.gen_bool(0.3);
+            let core = rng.gen_range(0u8..=4);
+            let expect = reference.access(addr, write, core);
+            assert_eq!(full.access(addr, write, core), expect, "access {i} at {addr:#x}");
+            let bank = ((addr / block_bytes) % banks as u64) as usize;
+            assert_eq!(slices[bank].access(addr, write, core), expect, "slice {bank}, access {i}");
+            assert_eq!(full.invalidations(), reference.invalidations, "access {i}");
+            seen[match expect {
+                CacheOutcome::Hit => 0,
+                CacheOutcome::Miss { writeback: false } => 1,
+                CacheOutcome::Miss { writeback: true } => 2,
+            }] += 1;
+        }
+        let sliced: u64 = slices.iter().map(SetAssocCache::invalidations).sum();
+        assert_eq!(sliced, reference.invalidations);
+        seen[3] += reference.invalidations;
     });
+    assert!(seen.iter().all(|&n| n > 0), "hits, clean misses, writebacks, invalidations: {seen:?}");
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification: the Rust checks CI runs — formatting, tier-1
 # (build + root tests), workspace tests, the guard against
-# feature-gated test files, doctests, clippy, rustdoc and the benchmark
-# build. Fully offline — the workspace has no external dependencies.
+# feature-gated test files, doctests, clippy, rustdoc, the benchmark
+# build and the quick-output digests. Fully offline — the workspace has
+# no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,5 +36,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> quick outputs match the committed digests"
+cargo build --release -p desc-experiments --bin repro
+python3 scripts/check_golden.py target/release/repro
 
 echo "==> OK"
